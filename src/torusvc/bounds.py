@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotCertified
+from .errors import NotCertified, PostconditionError
 from .extraction import verify_ext_req
 
 PERSISTENCE_WINDOW = 64
@@ -143,9 +143,9 @@ def choose_parameters(d: int, f_override: int = None) -> BoundParams:
         raise ValueError(f"d={d} too small for f={f} (k would be 0)")
     c = m * k
     qm = q * m
-    assert qm.denominator == 1
     d_prime = int(qm) * k
-    assert d_prime <= d
+    if qm.denominator != 1 or d_prime > d:
+        raise PostconditionError(f"qm = {qm} is not an integer or d' = {d_prime} > d = {d}")
     condition_ok = Fraction(d, log) > 48 * (f + 2) ** 2
     ext_req_ok = verify_ext_req(q, m, k)
     return BoundParams(d, f, q, m, k, c, d_prime, condition_ok, ext_req_ok)

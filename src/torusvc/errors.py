@@ -4,3 +4,7 @@ class GuardExceeded(RuntimeError):
 
 class NotCertified(RuntimeError):
     """A bound was requested at parameters where it cannot be certified."""
+
+
+class PostconditionError(RuntimeError):
+    """A result failed the check made on it before it was returned: a bug."""

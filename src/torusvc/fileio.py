@@ -169,6 +169,8 @@ def read_certificate(path: str):
             tail = [int(v) for v in right.split()]
         except ValueError:
             raise ParseError(path, lineno, "malformed certificate line") from None
+        if mask in witnesses:
+            raise ParseError(path, lineno, f"repeated mask {mask:x}")
         try:
             witnesses[mask] = _build_shape(kind, dim, denom, nums, tail)
         except ValueError as exc:

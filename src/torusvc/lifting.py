@@ -15,14 +15,14 @@ complement of those d stripes.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import GuardExceeded
 from .extraction import SymbolMatrix
 from .matching import maximum_matching
-from .shatter import covered_mask
+from .shatter import covered_mask, scan_stripe
 from .stripes import build_stripe_shattered_set, stripe_witness
-from .torus import ONE, Arc, Cube, PointSet, Rat, arc_contains
+from .torus import ONE, Arc, Cube, PointSet, Rat
+from .torus import arc_contains  # noqa: F401  (a binding site bench/test_bench.py checks)
 
 Mask = int
 
@@ -92,23 +92,12 @@ def _base_stripe(inst: LiftInstance, subset: Mask):
     if inst.canonical_n is not None:
         s = stripe_witness(inst.canonical_n, inst.length, subset, inst.base.dim)
         return s.anchor_dim, s.arc.start
-    base, l = inst.base, inst.length
-    g = 2 * lcm(base.denom, l.denominator)
-    for j in range(base.dim):
-        for t in range(g + 1):
-            start = Fraction(t, g)
-            if start + l > 1:
-                break
-            arc = Arc(start, (start + l) % ONE, closed=False)
-            cov = 0
-            for idx, p in enumerate(base.points):
-                if arc_contains(arc, p[j]):
-                    cov |= 1 << idx
-            if cov == subset:
-                return j, start
-    raise ValueError(
-        f"base set admits no interval stripe of length {l} realizing {subset:#x}"
-    )
+    stripe = scan_stripe(inst.base, subset, inst.length, wrapping=False)
+    if stripe is None:
+        raise ValueError(
+            f"base set admits no interval stripe of length {inst.length} realizing {subset:#x}"
+        )
+    return stripe.anchor_dim, stripe.arc.start
 
 
 def cube_witness(inst: LiftInstance, subset: Mask) -> Cube:

@@ -3,19 +3,28 @@
 A subset of a point set is encoded as an integer bitmask (bit i set means
 point i belongs to the subset).  Each oracle either returns a shape whose
 intersection with the point set is exactly the requested subset, or None
-when no such shape exists.  The oracles are complete at grid resolution:
-because every coordinate is a multiple of 1/D, the containment pattern of
-an arc only depends on which grid cell (point or open gap) each endpoint
-lies in and on their order inside a shared cell, so arc endpoints on the
-quarter-grid {t/(4D)} (three candidates inside every gap) realize every
-pattern that any real arc does.
+when no such shape exists; every returned shape is re-checked with
+covered_mask, and a mismatch raises PostconditionError.
+
+The oracles are complete at grid resolution: because every coordinate is
+a multiple of 1/D, the containment pattern of an arc only depends on which
+grid cell (point or open gap) each endpoint lies in and on their order
+inside a shared cell, so arc endpoints on the quarter-grid {t/(4D)} (three
+candidates inside every gap) realize every pattern that any real arc does.
+
+Coverage is integer arithmetic on PointSet.cols (numerators over D): _cover
+rounds an arc's endpoints onto the point grid and XORs two prefix masks.
+The cube and stripe candidates do not depend on the requested subset, so
+their coverages are tabulated once per point set and stripe length.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
-from .errors import GuardExceeded
+from .errors import GuardExceeded, PostconditionError
 from .torus import (
     ONE,
     Arc,
@@ -24,15 +33,15 @@ from .torus import (
     PointSet,
     Rat,
     Stripe,
-    arc_contains,
+    arc_contains,  # noqa: F401  (a binding site bench/test_bench.py checks)
     maximal_gaps,
-    shape_contains,
 )
 
 Mask = int
 
 SHATTER_GUARD_N = 30
 GROWTH_GUARD_N = 20
+TABLE_CACHE_SIZE = 8  # point sets (times family parameters) with cached tables
 
 BOXES = "boxes_per"
 CUBES = "cubes_per"
@@ -64,13 +73,52 @@ class ShatterReport:
     witnesses: dict = field(default_factory=dict)
 
 
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _prefix_masks(cols: tuple) -> tuple:
+    """Per dimension, the sorted distinct numerators and the prefix masks
+    below[k] of the points with numerator < values[k] (below[-1]: all)."""
+    tables = []
+    for col in cols:
+        values = sorted(set(col))
+        below = [sum(1 << i for i, x in enumerate(col) if x < v) for v in values]
+        tables.append((values, below + [(1 << len(col)) - 1]))
+    return tuple(tables)
+
+
+def _cover(table, s: int, e: int, m: int, closed: bool) -> Mask:
+    """Mask of the points in the arc from s/(mD) to e/(mD), wrapping when s > e
+    (an open arc with s == e is the circle minus one value)."""
+    values, below = table
+    if closed:
+        lo, hi, wraps = -(-s // m), e // m + 1, s > e
+    else:
+        lo, hi, wraps = s // m + 1, -(-e // m), s >= e
+    inner = below[bisect_left(values, hi)] ^ below[bisect_left(values, lo)]
+    return below[-1] ^ inner if wraps else inner
+
+
 def covered_mask(ps: PointSet, shape) -> Mask:
     """Bitmask of the points of ps contained in the shape."""
-    m = 0
-    for i, p in enumerate(ps.points):
-        if shape_contains(shape, p):
-            m |= 1 << i
+    if isinstance(shape, Stripe):
+        dim, factors = shape.ambient_dim, ((shape.anchor_dim, shape.arc),)
+    else:
+        dim, factors = shape.dim, enumerate(shape.arcs)
+    if dim != ps.dim:
+        raise ValueError(f"point dimension {ps.dim} != shape dimension {dim}")
+    tables = _prefix_masks(ps.cols)
+    m = (1 << len(ps)) - 1
+    for j, arc in factors:
+        (sp, sq), (ep, eq) = arc.start.as_integer_ratio(), arc.end.as_integer_ratio()
+        m &= _cover(tables[j], sp * eq * ps.denom, ep * sq * ps.denom, sq * eq, arc.closed)
     return m
+
+
+def _checked(ps: PointSet, subset: Mask, shape):
+    """The shape, once covered_mask confirms it realizes exactly the subset."""
+    got = covered_mask(ps, shape)
+    if got != subset:
+        raise PostconditionError(f"{type(shape).__name__} for mask {subset:#x} covers {got:#x}")
+    return shape
 
 
 def _check_mask(ps: PointSet, subset: Mask) -> None:
@@ -89,14 +137,6 @@ def _point_arc(v: Rat, denom: int) -> Arc:
     """A short closed arc around v containing no other 1/denom grid value."""
     h = Fraction(1, 4 * denom)
     return Arc((v - h) % ONE, (v + h) % ONE)
-
-
-def _in_open_gap(x: Rat, gap_start: Rat, gap_end: Rat) -> bool:
-    if gap_start == gap_end:
-        return x != gap_start
-    if gap_start < gap_end:
-        return gap_start < x < gap_end
-    return x > gap_start or x < gap_end
 
 
 def _choose_per_dim(per_dim_options, goal: Mask):
@@ -136,49 +176,57 @@ def realizable_by_box(ps: PointSet, subset: Mask):
     and shrinking to it only removes outsiders.
     """
     _check_mask(ps, subset)
-    n = len(ps)
+    n, denom = len(ps), ps.denom
     if subset == 0:
         if n == 0:
             return Box(tuple(Arc(Fraction(0), Fraction(1, 2)) for _ in range(ps.dim)))
-        gs, _, gl = maximal_gaps([p[0] for p in ps.points])[0]
-        arcs = [_arc_inside_gap(gs, gl)]
+        gs, _, gl = maximal_gaps(ps.cols[0], denom)[0]
+        arcs = [_arc_inside_gap(Fraction(gs, denom), Fraction(gl, denom))]
         arcs += [Arc(Fraction(0), Fraction(1, 2)) for _ in range(ps.dim - 1)]
-        return Box(tuple(arcs))
+        return _checked(ps, subset, Box(tuple(arcs)))
 
-    inside = [i for i in range(n) if subset >> i & 1]
-    outsiders = [i for i in range(n) if not subset >> i & 1]
-    out_bit = {i: 1 << t for t, i in enumerate(outsiders)}
-    goal = (1 << len(outsiders)) - 1
-
+    outsiders = ((1 << n) - 1) ^ subset
     per_dim = []
-    for j in range(ps.dim):
-        options = []
-        s_coords = [ps.points[i][j] for i in inside]
-        for gs, ge, _ in maximal_gaps(s_coords):
-            excl = 0
-            for i in outsiders:
-                if _in_open_gap(ps.points[i][j], gs, ge):
-                    excl |= out_bit[i]
-            options.append((excl, (gs, ge)))
-        per_dim.append(options)
-
-    chosen = _choose_per_dim(per_dim, goal)
+    for col, table in zip(ps.cols, _prefix_masks(ps.cols)):
+        inside = [v for i, v in enumerate(col) if subset >> i & 1]
+        per_dim.append([
+            (_cover(table, gs, ge, 1, False) & outsiders, (gs, ge))
+            for gs, ge, _ in maximal_gaps(inside, denom)
+        ])
+    chosen = _choose_per_dim(per_dim, outsiders)
     if chosen is None:
         return None
     arcs = []
     for gs, ge in chosen:
         if gs == ge:
-            arcs.append(_point_arc(gs, ps.denom))
+            arcs.append(_point_arc(Fraction(gs, denom), denom))
         else:
-            arcs.append(Arc(ge, gs))
-    box = Box(tuple(arcs))
-    assert covered_mask(ps, box) == subset
-    return box
+            arcs.append(Arc(Fraction(ge, denom), Fraction(gs, denom)))
+    return _checked(ps, subset, Box(tuple(arcs)))
 
 
-def _quarter_grid(denom: int):
-    g = 4 * denom
-    return [Fraction(t, g) for t in range(g)]
+def _first_arcs(denom: int, cols: tuple, g: int, width, closed: bool) -> tuple:
+    """Per dimension, {coverage: (s, e)} for the first arc from s/g to e/g
+    giving each coverage, scanning s, then e: every e != s on the grid, or
+    e = (s + width) mod g for a fixed width 0 < width < g."""
+    tables = []
+    for table in _prefix_masks(cols):
+        first = {}
+        for s in range(g):
+            for e in range(g) if width is None else ((s + width) % g,):
+                if e != s:
+                    first.setdefault(_cover(table, s, e, g // denom, closed), (s, e))
+        tables.append(first)
+    return tuple(tables)
+
+
+_stripe_arcs = lru_cache(maxsize=TABLE_CACHE_SIZE)(_first_arcs)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _cube_arcs(denom: int, cols: tuple) -> tuple:
+    """_first_arcs of the closed arcs of each edge t/(2D), t = 1..2D-1, starting on {s/(4D)}."""
+    return tuple(_first_arcs(denom, cols, 4 * denom, 2 * t, True) for t in range(1, 2 * denom))
 
 
 def realizable_by_cube(ps: PointSet, subset: Mask):
@@ -193,45 +241,34 @@ def realizable_by_cube(ps: PointSet, subset: Mask):
     combined by an OR-closure across dimensions.
     """
     _check_mask(ps, subset)
-    n = len(ps)
-    outsiders = [i for i in range(n) if not subset >> i & 1]
-    out_bit = {i: 1 << t for t, i in enumerate(outsiders)}
-    goal = (1 << len(outsiders)) - 1
-    starts = _quarter_grid(ps.denom)
-
-    for t in range(1, 2 * ps.denom):
-        edge = Fraction(t, 2 * ps.denom)
-        per_dim = []
-        feasible = True
-        for j in range(ps.dim):
-            options = []
-            seen = set()
-            for s in starts:
-                arc = Arc(s, (s + edge) % ONE)
-                cov = 0
-                for i, p in enumerate(ps.points):
-                    if arc_contains(arc, p[j]):
-                        cov |= 1 << i
-                if cov & subset != subset:
-                    continue
-                excl = 0
-                for i in outsiders:
-                    if not cov >> i & 1:
-                        excl |= out_bit[i]
-                if excl not in seen:
-                    seen.add(excl)
-                    options.append((excl, arc))
-            if not options:
-                feasible = False
-                break
-            per_dim.append(options)
-        if not feasible:
-            continue
-        chosen = _choose_per_dim(per_dim, goal)
+    g = 4 * ps.denom
+    outsiders = ((1 << len(ps)) - 1) ^ subset
+    for t, per_dim in enumerate(_cube_arcs(ps.denom, ps.cols), start=1):
+        options = [[(outsiders & ~cov, arc) for cov, arc in first.items() if cov & subset == subset]
+                   for first in per_dim]
+        chosen = _choose_per_dim(options, outsiders) if all(options) else None
         if chosen is not None:
-            cube = Cube(tuple(chosen), edge)
-            assert covered_mask(ps, cube) == subset
-            return cube
+            arcs = tuple(Arc(Fraction(s, g), Fraction(e, g)) for s, e in chosen)
+            return _checked(ps, subset, Cube(arcs, Fraction(t, 2 * ps.denom)))
+    return None
+
+
+def scan_stripe(ps: PointSet, subset: Mask, length: Rat = None, wrapping: bool = True):
+    """The first stripe realizing the subset, or None, scanning dimensions
+    then arcs: of the length, with starts t/g, g = 2 lcm(D, denominator of
+    length), and t/g + length <= 1 unless wrapping; or, without a length,
+    with any start and end on the quarter-grid."""
+    if length is None:
+        g, width = 4 * ps.denom, None
+    else:
+        g = 2 * lcm(ps.denom, length.denominator)
+        width = int(length * g)
+    for j, first in enumerate(_stripe_arcs(ps.denom, ps.cols, g, width, False)):
+        if subset in first:
+            s, e = first[subset]
+            if wrapping or s + width <= g:
+                arc = Arc(Fraction(s, g), Fraction(e, g), closed=False)
+                return _checked(ps, subset, Stripe(j, arc, ps.dim))
     return None
 
 
@@ -246,20 +283,7 @@ def realizable_by_stripe(ps: PointSet, subset: Mask, length: Rat):
     _check_mask(ps, subset)
     if not (0 < length < 1):
         raise ValueError("stripe length must lie in (0,1)")
-    g = 2 * lcm(ps.denom, length.denominator)
-    for j in range(ps.dim):
-        for t in range(g):
-            s = Fraction(t, g)
-            arc = Arc(s, (s + length) % ONE, closed=False)
-            cov = 0
-            for i, p in enumerate(ps.points):
-                if arc_contains(arc, p[j]):
-                    cov |= 1 << i
-            if cov == subset:
-                stripe = Stripe(j, arc, ps.dim)
-                assert covered_mask(ps, stripe) == subset
-                return stripe
-    return None
+    return scan_stripe(ps, subset, length)
 
 
 def realizable_by_any_stripe(ps: PointSet, subset: Mask):
@@ -268,20 +292,7 @@ def realizable_by_any_stripe(ps: PointSet, subset: Mask):
     Both endpoints are free, so the search runs over the quarter-grid.
     """
     _check_mask(ps, subset)
-    starts = _quarter_grid(ps.denom)
-    for j in range(ps.dim):
-        for s in starts:
-            for e in starts:
-                if s == e:
-                    continue
-                arc = Arc(s, e, closed=False)
-                cov = 0
-                for i, p in enumerate(ps.points):
-                    if arc_contains(arc, p[j]):
-                        cov |= 1 << i
-                if cov == subset:
-                    return Stripe(j, arc, ps.dim)
-    return None
+    return scan_stripe(ps, subset)
 
 
 def family_oracle(family: Family):

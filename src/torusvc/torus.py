@@ -7,7 +7,7 @@ share a common length, and stripes are products of full circles with a
 single open arc in one anchor dimension.  Nothing in this module rounds.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -139,19 +139,25 @@ class PointSet:
     dim: int
     denom: int
     points: tuple
+    # integer view: cols[j][i] is D times point i's coordinate in dimension j
+    cols: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be positive")
         if self.denom < 1:
             raise ValueError("denominator must be positive")
+        cols = [[] for _ in range(self.dim)]
         for p in self.points:
             if len(p) != self.dim:
                 raise ValueError("point dimension mismatch")
-            for x in p:
+            for col, x in zip(cols, p):
                 _check_coord(x)
-                if (x * self.denom).denominator != 1:
+                scaled = x * self.denom
+                if scaled.denominator != 1:
                     raise ValueError(f"coordinate {x} not on the 1/{self.denom} grid")
+                col.append(scaled.numerator)
+        object.__setattr__(self, "cols", tuple(map(tuple, cols)))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -167,24 +173,25 @@ class PointSet:
         return PointSet(dim, denom, pts)
 
 
-def maximal_gaps(coords):
+def maximal_gaps(coords, period=ONE):
     """Cyclic gaps between consecutive distinct values of a coordinate multiset.
 
     Returns (gap_start, gap_end, gap_length) triples sorted by descending
     length (ties by ascending start); the gap interval is open, so the
     complement of any gap is a minimal closed arc enclosing all coords.  A
-    singleton value set yields the single gap (v, v) of length 1.
+    singleton value set yields the single gap (v, v) of length 1 (= period,
+    which lets integer grid positions in [0, period) be passed as well).
     """
     values = sorted(set(coords))
     if not values:
         raise ValueError("maximal_gaps needs at least one coordinate")
     if len(values) == 1:
         v = values[0]
-        return [(v, v, ONE)]
+        return [(v, v, period)]
     gaps = []
     for i, v in enumerate(values):
         nxt = values[(i + 1) % len(values)]
-        length = nxt - v if nxt > v else ONE - v + nxt
+        length = nxt - v if nxt > v else period - v + nxt
         gaps.append((v, nxt, length))
     gaps.sort(key=lambda g: (-g[2], g[0]))
     return gaps

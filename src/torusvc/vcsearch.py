@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GuardExceeded
+from .errors import GuardExceeded, PostconditionError
 from .shatter import BOXES, Family, ShatterReport, shatter_report
 from .torus import PointSet
 
@@ -69,25 +69,8 @@ def realizable_mask_count(levels_per_dim, n: int) -> int:
 
 
 def boxes_shatter(levels_per_dim, n: int) -> bool:
-    """Fast shattering test for boxes on a configuration."""
-    families = [run_masks(lv, n) for lv in levels_per_dim]
-    want = 1 << n
-    if len(levels_per_dim) == 1:
-        return len(families[0]) == want
-    target = (1 << want) - 1
-    seen = 0
-    a_fam, b_fam = families[0], families[1]
-    if len(levels_per_dim) == 2:
-        for a in a_fam:
-            for b in b_fam:
-                seen |= 1 << (a & b)
-            if seen == target:
-                return True
-        return seen == target
-    cur = families[0]
-    for fam in families[1:]:
-        cur = {a & b for a in cur for b in fam}
-    return len(cur) == want
+    """Shattering test for boxes on a configuration."""
+    return realizable_mask_count(levels_per_dim, n) == 1 << n
 
 
 def cyclic_compositions(n: int):
@@ -151,7 +134,6 @@ def _dim2_assignments(n: int):
     the remaining block order, and only the lexicographically smaller of
     the two encodings is emitted.
     """
-    points = list(range(n))
     for pick in range(1 << (n - 1)):
         block0 = [0] + [p + 1 for p in range(n - 1) if pick >> p & 1]
         rest = [p + 1 for p in range(n - 1) if not pick >> p & 1]
@@ -223,7 +205,8 @@ def vc_exact(d: int, family: Family, n_max: int):
         return 0, None, {}
     ps = best_cfg.realize()
     report = shatter_report(ps, family)
-    assert report.shattered
+    if not report.shattered:
+        raise PostconditionError(f"the configuration found for n={best} fails its re-check")
     return best, ps, report.witnesses
 
 

@@ -3,12 +3,37 @@
 These deliberately share no code with torusvc.shatter: realizability is
 decided by enumerating every arc with endpoints on the quarter-grid
 {t/(4D)} and combining per-dimension coverage masks by intersection.
+
+The quarter-grid oracles rest on the same completeness argument as the
+code under test (endpoints on {t/(4D)}, cube edges on {t/(2D)}).  The
+``fine_*`` oracles do not: they enumerate arcs whose endpoints and cube
+edges lie on the finer grid {t/(12D)} (for fixed-length stripes, starts on
+{t/(12 lcm(D, denominator of l))}), so a pattern the coarse grids miss
+would show up as a growth-count difference.  They are slow and meant for
+tiny instances only.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from torusvc.torus import Arc, PointSet, arc_contains
+
+
+def _coverage(ps, j, arc):
+    cov = 0
+    for i, p in enumerate(ps.points):
+        if arc_contains(arc, p[j]):
+            cov |= 1 << i
+    return cov
+
+
+def _intersect_dims(ps, arc_masks):
+    cur = arc_masks(0)
+    for j in range(1, ps.dim):
+        fam = arc_masks(j)
+        cur = {a & b for a in cur for b in fam}
+    return cur
 
 
 def closed_arc_masks(ps, j):
@@ -19,22 +44,13 @@ def closed_arc_masks(ps, j):
         for t2 in range(g):
             if t1 == t2:
                 continue
-            arc = Arc(Fraction(t1, g), Fraction(t2, g))
-            cov = 0
-            for i, p in enumerate(ps.points):
-                if arc_contains(arc, p[j]):
-                    cov |= 1 << i
-            masks.add(cov)
+            masks.add(_coverage(ps, j, Arc(Fraction(t1, g), Fraction(t2, g))))
     return masks
 
 
 def brute_box_masks(ps):
     """All subsets realizable by boxes, by exhaustive arc enumeration."""
-    cur = closed_arc_masks(ps, 0)
-    for j in range(1, ps.dim):
-        fam = closed_arc_masks(ps, j)
-        cur = {a & b for a in cur for b in fam}
-    return cur
+    return _intersect_dims(ps, lambda j: closed_arc_masks(ps, j))
 
 
 def fixed_length_arc_masks(ps, j, edge):
@@ -42,12 +58,7 @@ def fixed_length_arc_masks(ps, j, edge):
     masks = set()
     for t in range(g):
         s = Fraction(t, g)
-        arc = Arc(s, (s + edge) % 1)
-        cov = 0
-        for i, p in enumerate(ps.points):
-            if arc_contains(arc, p[j]):
-                cov |= 1 << i
-        masks.add(cov)
+        masks.add(_coverage(ps, j, Arc(s, (s + edge) % 1)))
     return masks
 
 
@@ -56,12 +67,41 @@ def brute_cube_masks(ps):
     out = set()
     for t in range(1, 2 * ps.denom):
         edge = Fraction(t, 2 * ps.denom)
-        cur = fixed_length_arc_masks(ps, 0, edge)
-        for j in range(1, ps.dim):
-            fam = fixed_length_arc_masks(ps, j, edge)
-            cur = {a & b for a in cur for b in fam}
-        out |= cur
+        out |= _intersect_dims(ps, lambda j: fixed_length_arc_masks(ps, j, edge))
     return out
+
+
+def fine_growth(ps, kind, length=None):
+    """Number of subsets realizable by a family, with arcs on the 1/(12D) grid.
+
+    kind is one of "boxes", "cubes", "stripes" (fixed length) and
+    "stripes-any".
+    """
+    g = 12 * ps.denom
+    grid = [Fraction(t, g) for t in range(g)]
+    if kind == "boxes":
+        def closed_arcs(j):
+            return {_coverage(ps, j, Arc(s, e)) for s in grid for e in grid if s != e}
+        return len(_intersect_dims(ps, closed_arcs))
+    if kind == "cubes":
+        out = set()
+        for edge in grid[1:]:
+            def edge_arcs(j):
+                return {_coverage(ps, j, Arc(s, (s + edge) % 1)) for s in grid}
+            out |= _intersect_dims(ps, edge_arcs)
+        return len(out)
+    if kind == "stripes":
+        gl = 12 * lcm(ps.denom, length.denominator)
+        return len({
+            _coverage(ps, j, Arc(Fraction(t, gl), (Fraction(t, gl) + length) % 1, closed=False))
+            for j in range(ps.dim) for t in range(gl)
+        })
+    if kind == "stripes-any":
+        return len({
+            _coverage(ps, j, Arc(s, e, closed=False))
+            for j in range(ps.dim) for s in grid for e in grid if s != e
+        })
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def random_point_set(rng, n, d, denom):

@@ -191,3 +191,23 @@ def test_jobs_flag_does_not_change_output(tmp_path):
         for jobs in ("1", "4")
     ]
     assert runs[0] == runs[1]
+
+
+def test_certificate_with_repeated_mask_rejected(tmp_path):
+    base, matrix = write_lift_inputs(tmp_path)
+    lifted = str(tmp_path / "lifted.txt")
+    cert = tmp_path / "cert.txt"
+    assert cli("lift", "--points", base, "--matrix", matrix,
+               "--l", "1/2", "-o", lifted)[0] == 0
+    assert cli("certify-lift", "--points", base, "--matrix", matrix,
+               "--l", "1/2", "-o", str(cert))[0] == 0
+    lines = cert.read_text().splitlines()
+    # tamper with mask 0, then repeat its honest line later so that a
+    # reader keeping only the last line per mask would never check the lie
+    honest = lines[1]
+    lines[1] = "mask=0 shape=" + lines[2].split(" shape=")[1]
+    cert.write_text("\n".join(lines + [honest]) + "\n")
+    code, out, err = cli("verify-cert", lifted, str(cert))
+    assert code == 2
+    assert out == ""
+    assert f":{len(lines) + 1}: repeated mask 0" in err

@@ -1,16 +1,25 @@
+import ast
+import hashlib
 import itertools
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from bruteforce import brute_box_masks, brute_cube_masks, seeded_point_sets
-from torusvc.errors import GuardExceeded
+import torusvc
+from torusvc import shatter, vcsearch
+from bruteforce import brute_box_masks, brute_cube_masks, fine_growth, seeded_point_sets
+from torusvc.errors import GuardExceeded, PostconditionError
+from torusvc.extraction import SymbolMatrix
+from torusvc.lifting import lift_points
 from torusvc.shatter import (
     BOXES,
     CUBES,
     STRIPES_ANY,
     STRIPES_FIXED,
     Family,
+    ShatterReport,
     covered_mask,
     growth_count,
     realizable_by_any_stripe,
@@ -19,7 +28,8 @@ from torusvc.shatter import (
     realizable_by_stripe,
     shatter_report,
 )
-from torusvc.torus import Cube, PointSet, Stripe, arc_length
+from torusvc.stripes import build_stripe_shattered_set
+from torusvc.torus import Arc, Box, Cube, PointSet, Stripe, arc_length, shape_contains
 
 F = Fraction
 
@@ -40,6 +50,33 @@ def test_four_equally_spaced_points_boxes():
     assert report.missing == 0b0101  # first alternating pair in mask order
     assert realizable_by_box(ps, 0b0101) is None
     assert realizable_by_box(ps, 0b1010) is None
+
+
+def test_covered_mask_agrees_with_shape_contains():
+    # endpoints on and off the point grid, closed and open, plain and wrapping
+    rng = random.Random(5)
+    for ps in seeded_point_sets(37, 30, 5, 3, 8):
+        def coord():
+            q = rng.choice([ps.denom, 2 * ps.denom, 4 * ps.denom, 7, 13])
+            return F(rng.randrange(q), q)
+
+        def arc(closed):
+            start = coord()
+            end = coord()
+            while end == start:
+                end = coord()
+            return Arc(start, end, closed=closed)
+
+        for _ in range(20):
+            shapes = [
+                Box(tuple(arc(True) for _ in range(ps.dim))),
+                Stripe(rng.randrange(ps.dim), arc(False), ps.dim),
+            ]
+            for shape in shapes:
+                expected = sum(1 << i for i, p in enumerate(ps.points) if shape_contains(shape, p))
+                assert covered_mask(ps, shape) == expected, (ps, shape)
+    with pytest.raises(ValueError):
+        covered_mask(equally_spaced(3), Box((Arc(F(0), F(1, 2)), Arc(F(0), F(1, 2)))))
 
 
 def test_box_witnesses_verify():
@@ -156,3 +193,72 @@ def test_cubes_family_on_diagonal_points():
     for mask, shape in report.witnesses.items():
         assert isinstance(shape, Cube)
         assert covered_mask(ps, shape) == mask
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_growth_matches_finer_grid_brute_force(seed):
+    # the fine oracle enumerates arcs on 1/(12D), not on the quarter-grid
+    # the oracles' completeness argument uses, so it checks that argument
+    families = [
+        ("boxes", Family(BOXES)),
+        ("cubes", Family(CUBES)),
+        ("stripes", Family(STRIPES_FIXED, F(1, 3))),
+        ("stripes", Family(STRIPES_FIXED, F(2, 5))),
+        ("stripes-any", Family(STRIPES_ANY)),
+    ]
+    for ps in seeded_point_sets(seed, 6, 4, 2, 5):
+        for kind, family in families:
+            expected = fine_growth(ps, kind, family.length)
+            assert growth_count(ps, family) == expected, (ps, kind, family.length)
+
+
+def witness_digest(witnesses):
+    text = "\n".join(f"{mask}:{shape!r}" for mask, shape in sorted(witnesses.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_construction_witnesses_keep_their_shapes():
+    # digests of the witnesses the Fraction-scanning oracles returned before
+    # the integer-grid tables replaced them: every shape must stay the same
+    base = build_stripe_shattered_set(2, F(1, 2))
+    row = (0, 1, 2, 3, 0, 1, 2, 3)
+    worked = lift_points(base, SymbolMatrix((row, row), 4), F(1, 2)).lifted
+    cubes = shatter_report(worked, Family(CUBES))
+    assert witness_digest(cubes.witnesses) == (
+        "229c9eaa51935f92b536ba117f535256a58e2e917a601a7b8fd713e4930c923d"
+    )
+    stripes = shatter_report(build_stripe_shattered_set(6, F(1, 2)), Family(STRIPES_FIXED, F(1, 2)))
+    assert witness_digest(stripes.witnesses) == (
+        "5cdda971b442bab620ad8e9d39a43b1a87f2a500a5dfd0b867db642c1198bab1"
+    )
+
+
+@pytest.mark.parametrize("oracle", [
+    realizable_by_box,
+    realizable_by_cube,
+    lambda ps, mask: realizable_by_stripe(ps, mask, F(1, 2)),
+    realizable_by_any_stripe,
+])
+def test_oracles_raise_when_the_post_check_fails(monkeypatch, oracle):
+    ps = equally_spaced(3)
+    assert oracle(ps, 0b001) is not None
+    monkeypatch.setattr(shatter, "covered_mask", lambda ps, shape: 0b110)
+    with pytest.raises(PostconditionError, match="covers 0x6"):
+        oracle(ps, 0b001)
+
+
+def test_vc_exact_raises_when_its_re_check_fails(monkeypatch):
+    monkeypatch.setattr(vcsearch, "shatter_report", lambda ps, family: ShatterReport(False, 0))
+    with pytest.raises(PostconditionError):
+        vcsearch.vc_exact(1, Family(BOXES), 3)
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so post-conditions must raise explicitly
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(torusvc.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
