@@ -245,22 +245,19 @@ def _cmd_bounds(args) -> int:
         d_list = [int(v) for v in args.d_list.split(",") if v]
     except ValueError:
         raise _UsageError(f"invalid --d-list {args.d_list!r}") from None
+    reasons = []
+    rows = bounds_table(d_list, reasons)
     print("d\tstripe_ub\ttrivial_ub\trefined_ub\tlower_bound")
-    for d, stripe_ub, trivial_ub, refined_ub, lower in bounds_table(d_list):
+    for d, stripe_ub, trivial_ub, refined_ub, lower in rows:
         lower_s = "na" if lower is None else str(lower)
         print(f"{d}\t{stripe_ub}\t{trivial_ub}\t{refined_ub}\t{lower_s}")
+    for d, reason in reasons:
+        print(f"d={d}: {reason}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_vc_exact(args) -> int:
-    kind = FAMILY_NAMES[args.family]
-    if kind == STRIPES_FIXED:
-        if args.l is None:
-            raise _UsageError("family 'stripes' requires --l")
-        family = Family(kind, parse_rat(args.l))
-    else:
-        family = Family(kind)
-    value, _, _ = vc_exact(args.d, family, args.n_max)
+    value, _, _ = vc_exact(args.d, _family_from_args(args), args.n_max)
     print(value)
     return EXIT_OK
 

@@ -1,8 +1,16 @@
+import ast
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import reference_scanners
+from torusvc import bounds
 from torusvc.bounds import (
+    _log2_bracket,
+    _refined_constant,
+    _refined_start,
     bounds_table,
     choose_parameters,
     double_factorial,
@@ -31,6 +39,9 @@ def test_double_factorial():
     assert double_factorial(0) == 1
     assert double_factorial(5) == 15
     assert double_factorial(7) == 105
+    # the product tree against the factorial formula it replaced
+    for n in range(-3, 2001):
+        assert double_factorial(n) == reference_scanners.double_factorial(n)
 
 
 def naive_persistent(pred, window=64):
@@ -120,3 +131,107 @@ def test_bounds_table_shape():
         assert refined_ub >= 3  # never below the known 1-dimensional value
     with pytest.raises(ValueError):
         bounds_table([0])
+
+
+# every d <= 512, the powers of two up to 2^12, and one non-power beyond 512
+REFERENCE_DS = sorted(set(range(1, 513)) | {1 << e for e in range(13)} | {1000})
+
+SCANNERS = {
+    "stripe": (
+        stripe_upper_bound_n,
+        lambda d, n: 2**n > d * (n + 1) ** 2,
+        lambda d: 1,
+    ),
+    "trivial": (
+        trivial_upper_bound_n,
+        lambda d, n: 2**n > (n + 1) ** (2 * d),
+        lambda d: 1,
+    ),
+    "refined": (
+        refined_upper_bound_n,
+        lambda d, n: 2**n * reference_scanners.double_factorial(2 * d - 1)
+        > 2**d * n ** (2 * d),
+        _refined_start,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def answers():
+    return {
+        name: {d: scan(d) for d in REFERENCE_DS}
+        for name, (scan, _, _) in SCANNERS.items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(SCANNERS))
+def test_scanners_match_linear_reference(answers, name):
+    reference = getattr(reference_scanners, f"{name}_upper_bound_n")
+    for d in REFERENCE_DS:
+        assert answers[name][d] == reference(d), d
+
+
+@pytest.mark.parametrize("name", sorted(SCANNERS))
+def test_answers_are_exact_crossings(answers, name):
+    # the answer n is past the scan's start, the inequality fails at n - 1
+    # and holds at n, in exact big-integer arithmetic
+    _, exceeds, start = SCANNERS[name]
+    for d in REFERENCE_DS:
+        n = answers[name][d]
+        assert n > start(d), d
+        assert exceeds(d, n) and not exceeds(d, n - 1), d
+
+
+def test_log2_bracket_is_certified():
+    rng = random.Random(7)
+    for p in range(1, 7):
+        for n in [rng.randrange(1, 1 << rng.randrange(1, 40)) for _ in range(40)]:
+            lo, hi = _log2_bracket(n, p)
+            assert 2**lo <= n ** (2**p) <= 2**hi, (n, p)
+            assert hi - lo <= 2
+    assert _log2_bracket(1 << 40, 5) == (40 << 5, 40 << 5)
+    with pytest.raises(ValueError):
+        _log2_bracket(0, 5)
+
+
+def test_refined_constant_brackets_log2_double_factorial():
+    # the constant brackets 2^p (log2 (2d-1)!! - d); at small p the Robbins
+    # correction (about 1/(24 d ln 2)) is several units of 2^-p for small d
+    for p in range(2, 9):
+        for d in range(1, 21):
+            lo, hi = _refined_constant(d, p)
+            power = double_factorial(2 * d - 1) ** (2**p)
+            assert 2 ** (lo + (d << p)) <= power <= 2 ** (hi + (d << p)), (d, p)
+
+
+def test_ln2_literal_bracket():
+    # ln 2 = sum_{k>=1} 1/(k 2^k); the tail after N terms is below 1/((N+1) 2^N)
+    terms = bounds.LN2_BITS + 16
+    partial = sum(Fraction(1, k << k) for k in range(1, terms + 1))
+    tail = Fraction(1, (terms + 1) << terms)
+    scale = 1 << bounds.LN2_BITS
+    assert Fraction(bounds.LN2_LO, scale) < partial
+    assert partial + tail < Fraction(bounds.LN2_HI, scale)
+
+
+def test_bounds_module_has_no_float():
+    # no float or complex literal, no float(), and no math.* at all (so no
+    # math.log, math.log2 or math.ceil on a float)
+    tree = ast.parse(Path(bounds.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            assert not isinstance(node.value, (float, complex)), node.lineno
+        if isinstance(node, ast.Name):
+            assert node.id not in ("float", "math"), node.lineno
+
+
+def test_bounds_table_rows_and_reasons():
+    reasons = []
+    rows = bounds_table([1, 2, 1 << 16, 1 << 20], reasons)
+    assert rows[3] == (1 << 20, 29, 53860581, 32911522, 6988800)
+    assert [r[4] for r in rows] == [None, None, None, 6988800]
+    assert reasons == [
+        (1, "d too small: it must be at least 2"),
+        (2, "d too small for f=1: k would be 0"),
+        (1 << 16, "parameter condition fails"),
+    ]

@@ -173,6 +173,32 @@ def test_vc_exact_cli():
     assert out.strip() == "3"
 
 
+def test_vc_exact_rejects_l_outside_stripes():
+    code, out, err = cli("vc-exact", "--d", "1", "--family", "boxes", "--l", "1/2")
+    assert (code, out) == (2, "")
+    assert err == "error: family 'boxes' takes no --l\n"
+    code, out, err = cli("vc-exact", "--d", "1", "--family", "stripes")
+    assert (code, out) == (2, "")
+    assert err == "error: family 'stripes' requires --l\n"
+
+
+def test_bounds_reasons_go_to_stderr():
+    code, out, err = cli("bounds", "--d-list", "1,2,65536,1048576")
+    assert code == 0
+    assert out == (
+        "d\tstripe_ub\ttrivial_ub\trefined_ub\tlower_bound\n"
+        "1\t5\t5\t6\tna\n"
+        "2\t7\t16\t16\tna\n"
+        "65536\t25\t2807686\t1765983\tna\n"
+        "1048576\t29\t53860581\t32911522\t6988800\n"
+    )
+    assert err == (
+        "d=1: d too small: it must be at least 2\n"
+        "d=2: d too small for f=1: k would be 0\n"
+        "d=65536: parameter condition fails\n"
+    )
+
+
 def test_search_cli(tmp_path):
     out_path = str(tmp_path / "found.txt")
     code, out, _ = cli("search", "--d", "2", "--n", "4",
