@@ -154,6 +154,8 @@ def read_certificate(path: str):
         dim, n_points, denom = int(head[0]), int(head[1]), int(head[2])
     except ValueError:
         raise ParseError(path, 1, "non-integer header field") from None
+    if denom < 1:
+        raise ParseError(path, 1, f"invalid header D={denom}")
     kind = head[3]
     if kind not in ("box", "cube", "stripe"):
         raise ParseError(path, 1, f"unknown certificate kind {kind!r}")

@@ -16,6 +16,9 @@ Coverage is integer arithmetic on PointSet.cols (numerators over D): _cover
 rounds an arc's endpoints onto the point grid and XORs two prefix masks.
 The cube and stripe candidates do not depend on the requested subset, so
 their coverages are tabulated once per point set and stripe length.
+
+realizable_masks reads the whole set of realizable masks from the same
+tables, asking no oracle; the tests hold it equal to what the oracles find.
 """
 
 from bisect import bisect_left
@@ -79,9 +82,14 @@ def _prefix_masks(cols: tuple) -> tuple:
     below[k] of the points with numerator < values[k] (below[-1]: all)."""
     tables = []
     for col in cols:
-        values = sorted(set(col))
-        below = [sum(1 << i for i, x in enumerate(col) if x < v) for v in values]
-        tables.append((values, below + [(1 << len(col)) - 1]))
+        groups = {}
+        for i, x in enumerate(col):
+            groups[x] = groups.get(x, 0) | 1 << i
+        values = sorted(groups)
+        below = [0]
+        for v in values:
+            below.append(below[-1] | groups[v])
+        tables.append((values, below))
     return tuple(tables)
 
 
@@ -220,7 +228,14 @@ def _first_arcs(denom: int, cols: tuple, g: int, width, closed: bool) -> tuple:
     return tuple(tables)
 
 
-_stripe_arcs = lru_cache(maxsize=TABLE_CACHE_SIZE)(_first_arcs)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _stripe_arcs(denom: int, cols: tuple, length) -> tuple:
+    """(g, width, _first_arcs of the open arcs) of the stripe scan: starts on
+    t/g, g = 2 lcm(D, denominator of length), width = length g; or, without
+    a length, any start and end on the quarter-grid g = 4D."""
+    g = 4 * denom if length is None else 2 * lcm(denom, length.denominator)
+    width = None if length is None else int(length * g)
+    return g, width, _first_arcs(denom, cols, g, width, False)
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -255,15 +270,9 @@ def realizable_by_cube(ps: PointSet, subset: Mask):
 
 def scan_stripe(ps: PointSet, subset: Mask, length: Rat = None, wrapping: bool = True):
     """The first stripe realizing the subset, or None, scanning dimensions
-    then arcs: of the length, with starts t/g, g = 2 lcm(D, denominator of
-    length), and t/g + length <= 1 unless wrapping; or, without a length,
-    with any start and end on the quarter-grid."""
-    if length is None:
-        g, width = 4 * ps.denom, None
-    else:
-        g = 2 * lcm(ps.denom, length.denominator)
-        width = int(length * g)
-    for j, first in enumerate(_stripe_arcs(ps.denom, ps.cols, g, width, False)):
+    then the arcs of _stripe_arcs, with start + length <= 1 unless wrapping."""
+    g, width, tables = _stripe_arcs(ps.denom, ps.cols, length)
+    for j, first in enumerate(tables):
         if subset in first:
             s, e = first[subset]
             if wrapping or s + width <= g:
@@ -306,6 +315,31 @@ def family_oracle(family: Family):
     return realizable_by_any_stripe
 
 
+def _intersections(per_dim) -> set:
+    """Every AND of one mask from each dimension's collection."""
+    per_dim = iter(per_dim)
+    out = set(next(per_dim))
+    for masks in per_dim:
+        out = {a & b for a in out for b in masks}
+    return out
+
+
+def realizable_masks(cols: tuple, denom: int, family: Family) -> set:
+    """The masks the family realizes on the points with integer view cols
+    (numerators over denom).  A box realizes the AND of one closed-arc trace
+    per dimension: nothing, or the run of value indices a..c (wrapping when
+    a > c); a cube such an AND over the arcs of one edge; a stripe one arc."""
+    if family.kind == BOXES:
+        return _intersections(
+            {0} | {below[c + 1] ^ below[a] ^ (below[-1] if a > c else 0)
+                   for a in range(len(values)) for c in range(len(values))}
+            for values, below in _prefix_masks(cols)
+        )
+    if family.kind == CUBES:
+        return set().union(*map(_intersections, _cube_arcs(denom, cols)))
+    return set().union(*_stripe_arcs(denom, cols, family.length)[2])
+
+
 def shatter_report(ps: PointSet, family: Family) -> ShatterReport:
     """Decide whether the family shatters ps, with per-mask witnesses.
 
@@ -330,5 +364,4 @@ def growth_count(ps: PointSet, family: Family) -> int:
     n = len(ps)
     if n > GROWTH_GUARD_N:
         raise GuardExceeded(f"growth_count guard: n={n} > {GROWTH_GUARD_N}")
-    oracle = family_oracle(family)
-    return sum(1 for mask in range(1 << n) if oracle(ps, mask) is not None)
+    return len(realizable_masks(ps.cols, ps.denom, family))

@@ -6,7 +6,9 @@ coordinates level/n.  For boxes, subset realizability per dimension depends
 only on which cyclic runs of tied groups an arc can cover, so enumerating
 weak cyclic orders is a complete search.  The enumeration emits one
 representative per class under global point relabeling, per-dimension
-rotation and reflection, and is sound but not maximally reduced.
+rotation and reflection, and is sound but not maximally reduced.  Levels
+are the integer view of the realized point set over the denominator n, so
+verdicts and search scores count shatter.realizable_masks on them.
 """
 
 import random
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardExceeded, PostconditionError
-from .shatter import BOXES, Family, ShatterReport, shatter_report
+from .shatter import BOXES, Family, ShatterReport, realizable_masks, shatter_report
 from .torus import PointSet
 
 ENUM_GUARD_D = 2
@@ -36,41 +38,6 @@ class ConfigCode:
             for p in range(n)
         )
         return PointSet(self.d, n, points)
-
-
-def run_masks(levels, n: int):
-    """All point masks coverable by a single arc in one dimension.
-
-    These are the unions of cyclic runs of tied groups, plus the empty and
-    full masks (both always achievable by a proper arc).
-    """
-    groups = {}
-    for p, lv in enumerate(levels):
-        groups[lv] = groups.get(lv, 0) | 1 << p
-    ordered = [groups[lv] for lv in sorted(groups)]
-    b = len(ordered)
-    full = (1 << n) - 1
-    masks = {0, full}
-    for start in range(b):
-        acc = 0
-        for step in range(b - 1):
-            acc |= ordered[(start + step) % b]
-            masks.add(acc)
-    return masks
-
-
-def realizable_mask_count(levels_per_dim, n: int) -> int:
-    """Number of distinct subsets realizable by boxes on this configuration."""
-    families = [run_masks(lv, n) for lv in levels_per_dim]
-    cur = families[0]
-    for fam in families[1:]:
-        cur = {a & b for a in cur for b in fam}
-    return len(cur)
-
-
-def boxes_shatter(levels_per_dim, n: int) -> bool:
-    """Shattering test for boxes on a configuration."""
-    return realizable_mask_count(levels_per_dim, n) == 1 << n
 
 
 def cyclic_compositions(n: int):
@@ -175,12 +142,6 @@ def enumerate_configs(d: int, n: int):
             yield ConfigCode(2, n, (lv1, lv2))
 
 
-def _config_shattered(cfg: ConfigCode, family: Family) -> bool:
-    if family.kind == BOXES:
-        return boxes_shatter(cfg.levels, cfg.n)
-    return shatter_report(cfg.realize(), family).shattered
-
-
 def vc_exact(d: int, family: Family, n_max: int):
     """Largest n <= n_max admitting a shattered configuration.
 
@@ -195,7 +156,7 @@ def vc_exact(d: int, family: Family, n_max: int):
     for n in range(1, n_max + 1):
         found = None
         for cfg in enumerate_configs(d, n):
-            if _config_shattered(cfg, family):
+            if len(realizable_masks(cfg.levels, n, family)) == 1 << n:
                 found = cfg
                 break
         if found is None:
@@ -218,12 +179,14 @@ def search_shattered(d: int, n: int, budget: int, seed: int):
     re-certified through shatter_report, so the result needs no trust in
     the search.  Returns (PointSet, certificate map) or None.
     """
+    if d < 1 or n < 1:
+        raise ValueError("d and n must be positive")
     rng = random.Random(seed)
     levels = [
         [rng.randrange(n) for _ in range(n)] for _ in range(d)
     ]
     want = 1 << n
-    score = realizable_mask_count([tuple(lv) for lv in levels], n)
+    score = len(realizable_masks(tuple(map(tuple, levels)), n, Family(BOXES)))
     for _ in range(budget):
         if score == want:
             break
@@ -231,7 +194,7 @@ def search_shattered(d: int, n: int, budget: int, seed: int):
         p = rng.randrange(n)
         old = levels[j][p]
         levels[j][p] = rng.randrange(n)
-        new_score = realizable_mask_count([tuple(lv) for lv in levels], n)
+        new_score = len(realizable_masks(tuple(map(tuple, levels)), n, Family(BOXES)))
         if new_score >= score:
             score = new_score
         else:

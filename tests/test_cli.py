@@ -237,3 +237,20 @@ def test_certificate_with_repeated_mask_rejected(tmp_path):
     assert code == 2
     assert out == ""
     assert f":{len(lines) + 1}: repeated mask 0" in err
+
+
+def test_certificate_with_nonpositive_denominator_rejected(tmp_path):
+    points = tmp_path / "pts.txt"
+    points.write_text("1 1 2\n0\n")
+    cert = tmp_path / "cert.txt"
+    for denom in ("0", "-2"):
+        cert.write_text(f"1 1 {denom} box\nmask=1 shape=0 ; 1\n")
+        code, out, err = cli("verify-cert", str(points), str(cert))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cert}:1: invalid header D={denom}\n"
+
+
+def test_search_rejects_nonpositive_sizes():
+    for d, n in (("0", "3"), ("2", "0")):
+        code, out, err = cli("search", "--d", d, "--n", n, "--budget", "5")
+        assert (code, out, err) == (2, "", "error: d and n must be positive\n")

@@ -21,11 +21,13 @@ from torusvc.shatter import (
     Family,
     ShatterReport,
     covered_mask,
+    family_oracle,
     growth_count,
     realizable_by_any_stripe,
     realizable_by_box,
     realizable_by_cube,
     realizable_by_stripe,
+    realizable_masks,
     shatter_report,
 )
 from torusvc.stripes import build_stripe_shattered_set
@@ -212,6 +214,26 @@ def test_growth_matches_finer_grid_brute_force(seed):
             assert growth_count(ps, family) == expected, (ps, kind, family.length)
 
 
+@pytest.mark.parametrize("family", [
+    Family(BOXES),
+    Family(CUBES),
+    Family(STRIPES_ANY),
+    Family(STRIPES_FIXED, F(1, 3)),
+    Family(STRIPES_FIXED, F(2, 5)),
+], ids=["boxes", "cubes", "stripes-any", "stripes-1/3", "stripes-2/5"])
+def test_realizable_masks_match_the_oracles(family):
+    # the per-mask oracles stay the reference for the closure growth counts use
+    small = [
+        PointSet(2, 3, ()),
+        PointSet(1, 1, ((F(0),),)),
+        PointSet(2, 5, ((F(2, 5), F(0)),)),
+    ]
+    oracle = family_oracle(family)
+    for ps in small + seeded_point_sets(47, 30, 5, 3, 6):
+        expected = {mask for mask in range(1 << len(ps)) if oracle(ps, mask) is not None}
+        assert realizable_masks(ps.cols, ps.denom, family) == expected, (ps, family)
+
+
 def witness_digest(witnesses):
     text = "\n".join(f"{mask}:{shape!r}" for mask, shape in sorted(witnesses.items()))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -251,6 +273,18 @@ def test_vc_exact_raises_when_its_re_check_fails(monkeypatch):
     monkeypatch.setattr(vcsearch, "shatter_report", lambda ps, family: ShatterReport(False, 0))
     with pytest.raises(PostconditionError):
         vcsearch.vc_exact(1, Family(BOXES), 3)
+
+
+def test_bruteforce_imports_only_the_torus_geometry():
+    # the brute-force oracles must not share code with what they check
+    tree = ast.parse((Path(__file__).parent / "bruteforce.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert {name for name in imported if name.startswith(("torusvc", "."))} == {"torusvc.torus"}
 
 
 def test_package_has_no_assert_statements():

@@ -4,19 +4,32 @@ from fractions import Fraction
 import pytest
 
 from torusvc.errors import GuardExceeded
-from torusvc.shatter import BOXES, STRIPES_ANY, Family, covered_mask, shatter_report
+from torusvc.shatter import (
+    BOXES,
+    STRIPES_ANY,
+    Family,
+    covered_mask,
+    realizable_masks,
+    shatter_report,
+)
 from torusvc.vcsearch import (
     ConfigCode,
-    boxes_shatter,
     cyclic_compositions,
     enumerate_configs,
-    realizable_mask_count,
-    run_masks,
     search_shattered,
     vc_exact,
 )
 
 F = Fraction
+
+
+def box_masks(levels, n):
+    """The masks boxes realize on the configuration with these levels."""
+    return realizable_masks(tuple(levels), n, Family(BOXES))
+
+
+def boxes_shatter(levels, n):
+    return len(box_masks(levels, n)) == 1 << n
 
 
 def test_config_realize():
@@ -27,14 +40,15 @@ def test_config_realize():
 
 
 def test_run_masks_agrees_with_geometry():
-    # the combinatorial run masks must equal the arc-coverage masks of the
-    # realized configuration, computed geometrically
+    # in one dimension the box masks are the run masks read from the prefix
+    # table; they must equal the arc-coverage masks of the realized
+    # configuration, computed geometrically
     from bruteforce import closed_arc_masks
 
     for levels in itertools.product(range(4), repeat=4):
         cfg = ConfigCode(1, 4, (levels,))
         geometric = closed_arc_masks(cfg.realize(), 0) | {0, 0b1111}
-        assert run_masks(levels, 4) == geometric
+        assert box_masks((levels,), 4) == geometric
 
 
 def test_boxes_shatter_agrees_with_oracle():
@@ -71,10 +85,8 @@ def test_enumeration_complete_dim2():
         raw = set()
         for lv1 in itertools.product(range(n), repeat=n):
             for lv2 in itertools.product(range(n), repeat=n):
-                raw.add(realizable_mask_count((lv1, lv2), n))
-        enum = {
-            realizable_mask_count(c.levels, n) for c in enumerate_configs(2, n)
-        }
+                raw.add(len(box_masks((lv1, lv2), n)))
+        enum = {len(box_masks(c.levels, n)) for c in enumerate_configs(2, n)}
         assert raw == enum
 
 
