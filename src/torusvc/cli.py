@@ -122,6 +122,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify-cert", help="re-check a certificate offline")
     p.add_argument("points")
     p.add_argument("certificate")
+    p.add_argument("--sampled", action="store_true",
+                   help="accept a certificate that holds only some of the masks")
 
     p = sub.add_parser("bounds", help="emit the bound comparison table")
     p.add_argument("--d-list", required=True)
@@ -228,6 +230,14 @@ def _cmd_verify_cert(args) -> int:
         print(
             f"certificate is for dimension {dim} / {n_points} points, "
             f"point file has {ps.dim} / {len(ps)}",
+            file=sys.stderr,
+        )
+        return EXIT_FAIL
+    total = 1 << n_points
+    if not args.sampled and (len(witnesses) != total or not all(0 <= m < total for m in witnesses)):
+        print(
+            f"certificate holds {len(witnesses)} masks, not each of the {total} masks "
+            f"0..{total - 1:x} once (pass --sampled to check a partial certificate)",
             file=sys.stderr,
         )
         return EXIT_FAIL

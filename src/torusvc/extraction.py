@@ -11,11 +11,11 @@ this duality.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, factorial
 
 from .errors import GuardExceeded
-from .matching import deficient_set, maximum_matching
+from .matching import augment, deficient_set, maximum_matching
 
 EXHAUSTIVE_GUARD = 10**7
 WITNESS_GUARD = 10**8
@@ -137,15 +137,41 @@ def check_extraction(matrix: SymbolMatrix, mode: str = "witness") -> ExtractionV
 
 
 def _check_exhaustive(matrix: SymbolMatrix) -> ExtractionVerdict:
-    c = matrix.n_rows
-    for word in product(range(matrix.k), repeat=c):
-        adjacency = [matrix.support(i, word[i]) for i in range(c)]
-        if maximum_matching(adjacency, matrix.n_cols)[0] < c:
-            rows, cols = deficient_set(adjacency, matrix.n_cols)
-            cols = _pad_columns(cols, len(rows) - 1, matrix.n_cols)
-            witness = (tuple(rows), cols, {u: word[u] for u in rows})
-            return ExtractionVerdict(False, word, witness)
-    return ExtractionVerdict(True)
+    """The first unmatchable word in lexicographic order, or holds.
+
+    A depth-first walk over word prefixes extends the prefix's perfect
+    matching by one augmenting path per row.  When a prefix p has none, no
+    word starting with p is matchable, and every word before p + zeros has
+    been matched, so p + zeros is the first counterexample.
+    """
+    c, d = matrix.n_rows, matrix.n_cols
+    supports = [[matrix.support(i, s) for s in range(matrix.k)] for i in range(c)]
+    word = [0] * c
+    adjacency = [None] * c
+    matched = [None] * c  # augment's record of the left side, never read back
+
+    def first_failing_row(r, match_right):
+        for s, support in enumerate(supports[r]):
+            word[r] = s
+            adjacency[r] = support
+            extended = match_right[:]
+            if not augment(adjacency, r, matched, extended, set()):
+                return r
+            if r + 1 < c:
+                failed = first_failing_row(r + 1, extended)
+                if failed is not None:
+                    return failed
+        return None
+
+    failed = first_failing_row(0, [None] * d)
+    if failed is None:
+        return ExtractionVerdict(True)
+    word = tuple(word[: failed + 1]) + (0,) * (c - failed - 1)
+    adjacency = [supports[i][word[i]] for i in range(c)]
+    rows, cols = deficient_set(adjacency, d)
+    cols = _pad_columns(cols, len(rows) - 1, d)
+    witness = (tuple(rows), cols, {u: word[u] for u in rows})
+    return ExtractionVerdict(False, word, witness)
 
 
 def _check_witness(matrix: SymbolMatrix) -> ExtractionVerdict:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import lcm
 
 from .extraction import SymbolMatrix
-from .torus import ONE, Arc, Box, Cube, PointSet, Stripe, arc_length
+from .torus import Arc, Box, Cube, PointSet, Stripe, arc_length
 
 
 class ParseError(ValueError):
@@ -110,6 +110,12 @@ def _shape_denominator(shape) -> int:
     return lcm(*dens)
 
 
+def _numerator(x, denom: int) -> int:
+    """x * denom for a rational x whose denominator divides denom."""
+    p, q = x.as_integer_ratio()
+    return p * (denom // q)
+
+
 def write_certificate(witnesses: dict, dim: int, n_points: int, path: str) -> None:
     """Serialize a mask -> shape map; all shapes must share one kind."""
     if not witnesses:
@@ -123,14 +129,14 @@ def write_certificate(witnesses: dict, dim: int, n_points: int, path: str) -> No
     for mask in sorted(witnesses):
         shape = witnesses[mask]
         if kind == "stripe":
-            nums = [shape.anchor_dim, int(shape.arc.start * denom)]
-            tail = [int(arc_length(shape.arc) * denom)]
+            nums = [shape.anchor_dim, _numerator(shape.arc.start, denom)]
+            tail = [_numerator(arc_length(shape.arc), denom)]
         else:
-            nums = [int(a.start * denom) for a in shape.arcs]
+            nums = [_numerator(a.start, denom) for a in shape.arcs]
             if kind == "cube":
-                tail = [int(shape.edge * denom)]
+                tail = [_numerator(shape.edge, denom)]
             else:
-                tail = [int(arc_length(a) * denom) for a in shape.arcs]
+                tail = [_numerator(arc_length(a), denom) for a in shape.arcs]
         lines.append(
             f"mask={mask:x} shape="
             + " ".join(str(v) for v in nums)
@@ -154,12 +160,15 @@ def read_certificate(path: str):
         dim, n_points, denom = int(head[0]), int(head[1]), int(head[2])
     except ValueError:
         raise ParseError(path, 1, "non-integer header field") from None
+    if dim < 1 or n_points < 0:
+        raise ParseError(path, 1, f"invalid header d={dim} n={n_points}")
     if denom < 1:
         raise ParseError(path, 1, f"invalid header D={denom}")
     kind = head[3]
     if kind not in ("box", "cube", "stripe"):
         raise ParseError(path, 1, f"unknown certificate kind {kind!r}")
     witnesses = {}
+    arcs = {}  # (start, length, closed) numerators -> Arc, one per distinct arc
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -174,33 +183,36 @@ def read_certificate(path: str):
         if mask in witnesses:
             raise ParseError(path, lineno, f"repeated mask {mask:x}")
         try:
-            witnesses[mask] = _build_shape(kind, dim, denom, nums, tail)
+            witnesses[mask] = _build_shape(kind, dim, denom, nums, tail, arcs)
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
     return dim, n_points, denom, kind, witnesses
 
 
-def _arc_from(start_num: int, len_num: int, denom: int, closed: bool) -> Arc:
-    start = Fraction(start_num, denom) % ONE
-    length = Fraction(len_num, denom)
-    if not 0 < length < 1:
-        raise ValueError(f"arc length {length} outside (0,1)")
-    return Arc(start, (start + length) % ONE, closed=closed)
+def _arc_from(start_num: int, len_num: int, denom: int, closed: bool, arcs: dict) -> Arc:
+    key = (start_num, len_num, closed)
+    arc = arcs.get(key)
+    if arc is None:
+        if not 0 < len_num < denom:
+            raise ValueError(f"arc length {Fraction(len_num, denom)} outside (0,1)")
+        start = start_num % denom
+        end = (start + len_num) % denom
+        arc = arcs[key] = Arc(Fraction(start, denom), Fraction(end, denom), closed=closed)
+    return arc
 
 
-def _build_shape(kind, dim, denom, nums, tail):
+def _build_shape(kind, dim, denom, nums, tail, arcs):
     if kind == "stripe":
         if len(nums) != 2 or len(tail) != 1:
             raise ValueError("stripe shape needs 'anchor start ; length'")
-        return Stripe(nums[0], _arc_from(nums[1], tail[0], denom, False), dim)
+        return Stripe(nums[0], _arc_from(nums[1], tail[0], denom, False, arcs), dim)
     if len(nums) != dim:
         raise ValueError(f"expected {dim} arc starts, got {len(nums)}")
     if kind == "cube":
         if len(tail) != 1:
             raise ValueError("cube shape needs a single edge numerator")
-        arcs = tuple(_arc_from(s, tail[0], denom, True) for s in nums)
-        return Cube(arcs, Fraction(tail[0], denom))
+        cube_arcs = tuple(_arc_from(s, tail[0], denom, True, arcs) for s in nums)
+        return Cube(cube_arcs, Fraction(tail[0], denom))
     if len(tail) != dim:
         raise ValueError(f"expected {dim} arc lengths, got {len(tail)}")
-    arcs = tuple(_arc_from(s, ln, denom, True) for s, ln in zip(nums, tail))
-    return Box(arcs)
+    return Box(tuple(_arc_from(s, ln, denom, True, arcs) for s, ln in zip(nums, tail)))

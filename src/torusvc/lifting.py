@@ -13,7 +13,7 @@ complement of those d stripes.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GuardExceeded
@@ -36,6 +36,8 @@ class LiftInstance:
     length: Rat  # stripe length l used on the base set
     lifted: PointSet  # c*u points in T^d, group-major order
     canonical_n: int = None  # set when base is the stripe construction
+    # cube_witness's table, made on its first call: (edge, filler arc, {base subset: cell})
+    cells: tuple = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -100,6 +102,35 @@ def _base_stripe(inst: LiftInstance, subset: Mask):
     return stripe.anchor_dim, stripe.arc.start
 
 
+def _cell(inst: LiftInstance, memo: dict, group: Mask):
+    """(anchor, supports, arcs) for a base subset, built once per instance.
+
+    supports[i] is row i's support of the anchor symbol and arcs[i] the
+    closed complement of the subset's base stripe scaled into group cell i.
+    A subset the base cannot realize keeps its error message, raised anew
+    on every call.
+    """
+    cell = memo.get(group)
+    if cell is None:
+        try:
+            anchor, start = _base_stripe(inst, group)
+        except ValueError as exc:
+            cell = str(exc)
+        else:
+            c = inst.matrix.n_rows
+            scale = Fraction(1, c + 1)
+            cell = (
+                anchor,
+                [inst.matrix.support(i, anchor) for i in range(c)],
+                [Arc((i + start + inst.length) * scale % ONE, (i + start) * scale % ONE)
+                 for i in range(c)],
+            )
+        memo[group] = cell
+    if isinstance(cell, str):
+        raise ValueError(cell)
+    return cell
+
+
 def cube_witness(inst: LiftInstance, subset: Mask) -> Cube:
     """The construction's cube realizing a subset of the lifted points.
 
@@ -113,41 +144,25 @@ def cube_witness(inst: LiftInstance, subset: Mask) -> Cube:
     u = len(inst.base)
     if subset < 0 or subset >> (c * u):
         raise ValueError("mask out of range for the lifted point set")
-    l = inst.length
-    scale = Fraction(1, c + 1)
+    if inst.cells is None:
+        l, scale = inst.length, Fraction(1, c + 1)
+        object.__setattr__(inst, "cells", (1 - l * scale, Arc((c + l) * scale, c * scale), {}))
+    edge, filler, memo = inst.cells
 
     # the cube is the complement of the stripe union, so the stripes must
     # cover exactly the points outside the requested subset
-    anchors = []
-    starts = []
-    for i in range(c):
-        group = ~(subset >> (i * u)) & ((1 << u) - 1)
-        anchor, start = _base_stripe(inst, group)
-        anchors.append(anchor)
-        starts.append(start)
-
-    adjacency = [inst.matrix.support(i, anchors[i]) for i in range(c)]
-    size, match = maximum_matching(adjacency, d)
+    full = (1 << u) - 1
+    cells = [_cell(inst, memo, ~(subset >> (i * u)) & full) for i in range(c)]
+    size, match = maximum_matching([supports[i] for i, (_, supports, _) in enumerate(cells)], d)
     if size < c:
         raise ValueError(
             "extraction matching failed: matrix lacks the extraction property "
-            f"for anchor word {tuple(anchors)}"
+            f"for anchor word {tuple(anchor for anchor, _, _ in cells)}"
         )
-
-    # open stripe arcs per lifted dimension
-    stripe_arcs = {}
-    for i in range(c):
-        n_i = match[i]
-        stripe_arcs[n_i] = (
-            (i + starts[i]) * scale,
-            (i + starts[i] + l) * scale,
-        )
-    filler = (c * scale, (c + l) * scale)
-    arcs = []
-    for n in range(d):
-        s, e = stripe_arcs.get(n, filler)
-        arcs.append(Arc(e % ONE, s % ONE))  # closed complement of the open stripe
-    return Cube(tuple(arcs), 1 - l * scale)
+    arcs = [filler] * d
+    for i, (_, _, cell_arcs) in enumerate(cells):
+        arcs[match[i]] = cell_arcs[i]
+    return Cube(tuple(arcs), edge)
 
 
 def sample_masks(total_points: int, count: int, seed: int):

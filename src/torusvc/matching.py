@@ -6,6 +6,23 @@ ascending column order, which makes the returned matching deterministic.
 """
 
 
+def augment(adjacency, i: int, match_left, match_right, visited) -> bool:
+    """Kuhn's step: find an augmenting path from left vertex i and flip it.
+
+    Updates match_left and match_right in place; only match_right is read,
+    and visited collects the right vertices this search has tried.
+    """
+    for j in adjacency[i]:
+        if j in visited:
+            continue
+        visited.add(j)
+        if match_right[j] is None or augment(adjacency, match_right[j], match_left, match_right, visited):
+            match_left[i] = j
+            match_right[j] = i
+            return True
+    return False
+
+
 def maximum_matching(adjacency, n_right: int):
     """Match left vertices to right vertices.
 
@@ -15,21 +32,9 @@ def maximum_matching(adjacency, n_right: int):
     """
     match_left = [None] * len(adjacency)
     match_right = [None] * n_right
-
-    def augment(i, visited):
-        for j in adjacency[i]:
-            if j in visited:
-                continue
-            visited.add(j)
-            if match_right[j] is None or augment(match_right[j], visited):
-                match_left[i] = j
-                match_right[j] = i
-                return True
-        return False
-
     size = 0
     for i in range(len(adjacency)):
-        if augment(i, set()):
+        if augment(adjacency, i, match_left, match_right, set()):
             size += 1
     return size, match_left
 

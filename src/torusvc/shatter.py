@@ -76,8 +76,7 @@ class ShatterReport:
     witnesses: dict = field(default_factory=dict)
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _prefix_masks(cols: tuple) -> tuple:
+def _prefix_table(cols: tuple) -> tuple:
     """Per dimension, the sorted distinct numerators and the prefix masks
     below[k] of the points with numerator < values[k] (below[-1]: all)."""
     tables = []
@@ -91,6 +90,11 @@ def _prefix_masks(cols: tuple) -> tuple:
             below.append(below[-1] | groups[v])
         tables.append((values, below))
     return tuple(tables)
+
+
+# the per-mask oracles' copy; realizable_masks builds its tables afresh, so
+# scoring many one-off point sets evicts none of these
+_prefix_masks = lru_cache(maxsize=TABLE_CACHE_SIZE)(_prefix_table)
 
 
 def _cover(table, s: int, e: int, m: int, closed: bool) -> Mask:
@@ -213,12 +217,12 @@ def realizable_by_box(ps: PointSet, subset: Mask):
     return _checked(ps, subset, Box(tuple(arcs)))
 
 
-def _first_arcs(denom: int, cols: tuple, g: int, width, closed: bool) -> tuple:
-    """Per dimension, {coverage: (s, e)} for the first arc from s/g to e/g
-    giving each coverage, scanning s, then e: every e != s on the grid, or
-    e = (s + width) mod g for a fixed width 0 < width < g."""
+def _first_arcs(denom: int, prefix: tuple, g: int, width, closed: bool) -> tuple:
+    """Per dimension of the prefix tables, {coverage: (s, e)} for the first
+    arc from s/g to e/g giving each coverage, scanning s, then e: every
+    e != s on the grid, or e = (s + width) mod g for a fixed width 0 < width < g."""
     tables = []
-    for table in _prefix_masks(cols):
+    for table in prefix:
         first = {}
         for s in range(g):
             for e in range(g) if width is None else ((s + width) % g,):
@@ -228,20 +232,30 @@ def _first_arcs(denom: int, cols: tuple, g: int, width, closed: bool) -> tuple:
     return tuple(tables)
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _stripe_arcs(denom: int, cols: tuple, length) -> tuple:
+def _stripe_table(denom: int, prefix: tuple, length) -> tuple:
     """(g, width, _first_arcs of the open arcs) of the stripe scan: starts on
     t/g, g = 2 lcm(D, denominator of length), width = length g; or, without
     a length, any start and end on the quarter-grid g = 4D."""
     g = 4 * denom if length is None else 2 * lcm(denom, length.denominator)
     width = None if length is None else int(length * g)
-    return g, width, _first_arcs(denom, cols, g, width, False)
+    return g, width, _first_arcs(denom, prefix, g, width, False)
+
+
+def _cube_table(denom: int, prefix: tuple) -> tuple:
+    """_first_arcs of the closed arcs of each edge t/(2D), t = 1..2D-1, starting on {s/(4D)}."""
+    return tuple(_first_arcs(denom, prefix, 4 * denom, 2 * t, True) for t in range(1, 2 * denom))
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _stripe_arcs(denom: int, cols: tuple, length) -> tuple:
+    """The oracles' cached _stripe_table of a point set."""
+    return _stripe_table(denom, _prefix_masks(cols), length)
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _cube_arcs(denom: int, cols: tuple) -> tuple:
-    """_first_arcs of the closed arcs of each edge t/(2D), t = 1..2D-1, starting on {s/(4D)}."""
-    return tuple(_first_arcs(denom, cols, 4 * denom, 2 * t, True) for t in range(1, 2 * denom))
+    """The oracles' cached _cube_table of a point set."""
+    return _cube_table(denom, _prefix_masks(cols))
 
 
 def realizable_by_cube(ps: PointSet, subset: Mask):
@@ -328,16 +342,18 @@ def realizable_masks(cols: tuple, denom: int, family: Family) -> set:
     """The masks the family realizes on the points with integer view cols
     (numerators over denom).  A box realizes the AND of one closed-arc trace
     per dimension: nothing, or the run of value indices a..c (wrapping when
-    a > c); a cube such an AND over the arcs of one edge; a stripe one arc."""
+    a > c); a cube such an AND over the arcs of one edge; a stripe one arc.
+    The tables are built afresh and left out of the oracles' caches."""
+    prefix = _prefix_table(cols)
     if family.kind == BOXES:
         return _intersections(
             {0} | {below[c + 1] ^ below[a] ^ (below[-1] if a > c else 0)
                    for a in range(len(values)) for c in range(len(values))}
-            for values, below in _prefix_masks(cols)
+            for values, below in prefix
         )
     if family.kind == CUBES:
-        return set().union(*map(_intersections, _cube_arcs(denom, cols)))
-    return set().union(*_stripe_arcs(denom, cols, family.length)[2])
+        return set().union(*map(_intersections, _cube_table(denom, prefix)))
+    return set().union(*_stripe_table(denom, prefix, family.length)[2])
 
 
 def shatter_report(ps: PointSet, family: Family) -> ShatterReport:

@@ -29,19 +29,21 @@ class Arc:
     start: Rat
     end: Rat
     closed: bool = True
+    # end - start, or 1 - start + end when wrapping; computed once
+    length: Rat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_coord(self.start, "arc start")
         _check_coord(self.end, "arc end")
         if self.start == self.end:
             raise ValueError("degenerate or full-circle arc is not allowed")
+        length = self.end - self.start if self.start < self.end else ONE - self.start + self.end
+        object.__setattr__(self, "length", length)
 
 
 def arc_length(arc: Arc) -> Rat:
     """Length of the arc: end - start, or 1 - start + end when wrapping."""
-    if arc.start < arc.end:
-        return arc.end - arc.start
-    return ONE - arc.start + arc.end
+    return arc.length
 
 
 def arc_contains(arc: Arc, x: Rat) -> bool:

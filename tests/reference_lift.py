@@ -1,0 +1,120 @@
+"""Reference copies of the word-by-word extraction checker and the
+Fraction-path cube witness that ``torusvc`` replaced.
+
+``_check_exhaustive`` matches every word of the matrix from scratch, and
+``cube_witness`` rebuilds each group's base stripe, support and arcs per
+mask.  Both are kept verbatim so that the tests can check the prefix-DFS
+checker and the per-instance cell tables against the answers the package
+gave before.  From ``torusvc`` this imports only ``torus``, ``matching``,
+``stripes`` and ``shatter``.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+
+from torusvc.matching import deficient_set, maximum_matching
+from torusvc.shatter import scan_stripe
+from torusvc.stripes import stripe_witness
+from torusvc.torus import ONE, Arc, Cube
+
+Mask = int
+
+
+@dataclass
+class ExtractionVerdict:
+    holds: bool
+    counterexample_word: tuple = None
+    failure_witness: tuple = None  # (rows U, columns V, {row: symbol})
+
+
+def _pad_columns(cols, want: int, n_cols: int):
+    """Extend a column set to the wanted cardinality, smallest indices first."""
+    out = list(cols)
+    for j in range(n_cols):
+        if len(out) >= want:
+            break
+        if j not in cols:
+            out.append(j)
+    out.sort()
+    return tuple(out)
+
+
+def _check_exhaustive(matrix) -> ExtractionVerdict:
+    c = matrix.n_rows
+    for word in product(range(matrix.k), repeat=c):
+        adjacency = [matrix.support(i, word[i]) for i in range(c)]
+        if maximum_matching(adjacency, matrix.n_cols)[0] < c:
+            rows, cols = deficient_set(adjacency, matrix.n_cols)
+            cols = _pad_columns(cols, len(rows) - 1, matrix.n_cols)
+            witness = (tuple(rows), cols, {u: word[u] for u in rows})
+            return ExtractionVerdict(False, word, witness)
+    return ExtractionVerdict(True)
+
+
+def _base_stripe(inst, subset: Mask):
+    """A non-wrapping open arc (start, start+l) realizing subset on the base.
+
+    Returns (anchor_dim, start).  The lifting scales arcs affinely into a
+    group cell, so only witnesses with start + l <= 1 are usable; for the
+    canonical construction these always exist, otherwise we scan for one.
+    """
+    if inst.canonical_n is not None:
+        s = stripe_witness(inst.canonical_n, inst.length, subset, inst.base.dim)
+        return s.anchor_dim, s.arc.start
+    stripe = scan_stripe(inst.base, subset, inst.length, wrapping=False)
+    if stripe is None:
+        raise ValueError(
+            f"base set admits no interval stripe of length {inst.length} realizing {subset:#x}"
+        )
+    return stripe.anchor_dim, stripe.arc.start
+
+
+def cube_witness(inst, subset: Mask) -> Cube:
+    """The construction's cube realizing a subset of the lifted points.
+
+    Builds one scaled stripe per group (dimension chosen by matching the
+    anchor word through the matrix), fills the remaining dimensions with
+    the point-free stripe ((c)/(c+1), (c+l)/(c+1)), and returns the cube
+    whose factors are the closed complements; edge is exactly 1 - l/(c+1).
+    """
+    c = inst.matrix.n_rows
+    d = inst.matrix.n_cols
+    u = len(inst.base)
+    if subset < 0 or subset >> (c * u):
+        raise ValueError("mask out of range for the lifted point set")
+    l = inst.length
+    scale = Fraction(1, c + 1)
+
+    # the cube is the complement of the stripe union, so the stripes must
+    # cover exactly the points outside the requested subset
+    anchors = []
+    starts = []
+    for i in range(c):
+        group = ~(subset >> (i * u)) & ((1 << u) - 1)
+        anchor, start = _base_stripe(inst, group)
+        anchors.append(anchor)
+        starts.append(start)
+
+    adjacency = [inst.matrix.support(i, anchors[i]) for i in range(c)]
+    size, match = maximum_matching(adjacency, d)
+    if size < c:
+        raise ValueError(
+            "extraction matching failed: matrix lacks the extraction property "
+            f"for anchor word {tuple(anchors)}"
+        )
+
+    # open stripe arcs per lifted dimension
+    stripe_arcs = {}
+    for i in range(c):
+        n_i = match[i]
+        stripe_arcs[n_i] = (
+            (i + starts[i]) * scale,
+            (i + starts[i] + l) * scale,
+        )
+    filler = (c * scale, (c + l) * scale)
+    arcs = []
+    for n in range(d):
+        s, e = stripe_arcs.get(n, filler)
+        arcs.append(Arc(e % ONE, s % ONE))  # closed complement of the open stripe
+    return Cube(tuple(arcs), 1 - l * scale)

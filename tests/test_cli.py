@@ -1,6 +1,9 @@
+import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+
+import pytest
 
 from torusvc.cli import run
 from torusvc.extraction import SymbolMatrix
@@ -248,6 +251,71 @@ def test_certificate_with_nonpositive_denominator_rejected(tmp_path):
         code, out, err = cli("verify-cert", str(points), str(cert))
         assert (code, out) == (2, "")
         assert err == f"error: {cert}:1: invalid header D={denom}\n"
+
+
+def test_certificate_with_invalid_sizes_rejected(tmp_path):
+    points = tmp_path / "pts.txt"
+    points.write_text("1 1 2\n0\n")
+    cert = tmp_path / "cert.txt"
+    for dim, n in (("1", "-1"), ("0", "1")):
+        cert.write_text(f"{dim} {n} 2 box\nmask=1 shape=0 ; 1\n")
+        code, out, err = cli("verify-cert", str(points), str(cert))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cert}:1: invalid header d={dim} n={n}\n"
+
+
+def test_partial_certificate_needs_sampled(tmp_path):
+    points = tmp_path / "pts.txt"
+    points.write_text("1 1 2\n0\n")
+    cert = tmp_path / "cert.txt"
+    # mask 1 is witnessed, mask 0 is left out
+    cert.write_text("1 1 2 box\nmask=1 shape=0 ; 1\n")
+    code, out, err = cli("verify-cert", str(points), str(cert))
+    assert (code, out) == (1, "")
+    assert err == (
+        "certificate holds 1 masks, not each of the 2 masks 0..1 once "
+        "(pass --sampled to check a partial certificate)\n"
+    )
+    assert cli("verify-cert", str(points), str(cert), "--sampled") == (0, "verified 1 masks\n", "")
+
+
+def test_sampled_lift_certificate_needs_sampled(tmp_path):
+    base, matrix = write_lift_inputs(tmp_path)
+    lifted = str(tmp_path / "lifted.txt")
+    cert = str(tmp_path / "cert.txt")
+    assert cli("lift", "--points", base, "--matrix", matrix, "--l", "1/2", "-o", lifted)[0] == 0
+    assert cli("certify-lift", "--points", base, "--matrix", matrix, "--l", "1/2",
+               "--sample", "10", "--seed", "3", "-o", cert) == (0, "certified 10 masks\n", "")
+    code, out, err = cli("verify-cert", lifted, cert)
+    assert (code, out) == (1, "")
+    assert "pass --sampled" in err
+    code, out, err = cli("verify-cert", lifted, cert, "--sampled")
+    assert code == 0 and out.startswith("verified ") and err == ""
+
+
+# SHA-256 of the certificates certify-lift wrote before its cube witnesses
+# came from per-instance cell tables: the bytes must not move
+CERTIFICATE_SHA256 = {
+    "worked": "471809ac4b99d23a19b0f3b6560f8dceecd88e2d273db450844ab42365dad466",
+    "seed-1": "e9c2e3d571ea81f44ab9748b9c3da813dd6a9f5964e98acfd36159a9075cc157",
+    "seed-2": "00eb5abf77c84c34a07ab24ef65847a2a8769ba46e9b525870b0108135812fbf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_SHA256))
+def test_certify_lift_certificate_bytes_are_pinned(tmp_path, name):
+    base, matrix = write_lift_inputs(tmp_path)
+    masks = 64
+    if name != "worked":
+        # a 4 x 8 matrix over 4 symbols drawn by the sampler: 12 lifted points
+        code, _, _ = cli("extract-sample", "--m", "1", "--k", "4", "--q", "2",
+                         "--seed", name.removeprefix("seed-"), "-o", matrix)
+        assert code == 0
+        masks = 4096
+    cert = tmp_path / "cert.txt"
+    assert cli("certify-lift", "--points", base, "--matrix", matrix, "--l", "1/2",
+               "-o", str(cert)) == (0, f"certified {masks} masks\n", "")
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == CERTIFICATE_SHA256[name]
 
 
 def test_search_rejects_nonpositive_sizes():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_lift
 from torusvc.errors import GuardExceeded
 from torusvc.extraction import (
     SymbolMatrix,
@@ -69,6 +70,31 @@ def test_mode_agreement_on_seeded_matrices():
             assert not word_matchable(m, ex.counterexample_word)
             assert validate_failure_witness(m, ex.failure_witness)
             assert validate_failure_witness(m, wit.failure_witness)
+
+
+def test_exhaustive_checker_matches_word_by_word_reference():
+    # the prefix DFS must name the same first word and the same witness as
+    # matching every word from scratch, on holding and failing matrices
+    rng = random.Random(2004)
+    failed_at = set()
+    holds = 0
+    for _ in range(600):
+        c = rng.randint(1, 6)
+        k = rng.randint(1, 4)
+        d = rng.randint(c, c + 2 * k)
+        m = SymbolMatrix(tuple(tuple(rng.randrange(k) for _ in range(d)) for _ in range(c)), k)
+        got = check_extraction(m, "exhaustive")
+        want = reference_lift._check_exhaustive(m)
+        assert (got.holds, got.counterexample_word, got.failure_witness) == (
+            want.holds, want.counterexample_word, want.failure_witness)
+        if got.holds:
+            holds += 1
+        else:
+            failed_at.add(max((i for i, s in enumerate(got.counterexample_word) if s), default=0))
+    # both verdicts, and first failing words whose last nonzero symbol sits
+    # in each of the six rows
+    assert 100 < holds < 500
+    assert set(range(6)) <= failed_at
 
 
 def test_column_monotonicity():

@@ -123,3 +123,23 @@ def test_certificate_parse_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         read_certificate(path)
     assert ":2:" in str(err.value)
+
+
+def test_certificate_reader_builds_each_distinct_arc_once(tmp_path):
+    arc, other = Arc(F(0), F(1, 3)), Arc(F(1, 2), F(5, 6))
+    witnesses = {0: Cube((arc, other)), 1: Cube((other, arc)), 2: Cube((arc, arc))}
+    path = tmp_path / "cert.txt"
+    write_certificate(witnesses, 2, 2, path)
+    _, _, denom, _, back = read_certificate(path)
+    assert denom == 6 and back == witnesses
+    assert len({id(a) for cube in back.values() for a in cube.arcs}) == 2
+
+
+def test_certificate_numerators_are_exact_for_large_denominators(tmp_path):
+    # 1/(2^60 + 1) and its neighbours: numerators stay exact integers
+    big = (1 << 60) + 1
+    witnesses = {0: Box((Arc(F(1, big), F(3, big)), Arc(F(big - 1, big), F(1, 2))))}
+    path = tmp_path / "cert.txt"
+    write_certificate(witnesses, 2, 1, path)
+    assert path.read_text().splitlines()[1] == f"mask=0 shape=2 {2 * big - 2} ; 4 {big + 2}"
+    assert read_certificate(path)[4] == witnesses

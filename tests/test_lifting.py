@@ -1,7 +1,11 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import reference_lift
+from torusvc import lifting
 from torusvc.errors import GuardExceeded
 from torusvc.extraction import SymbolMatrix, check_extraction
 from torusvc.lifting import (
@@ -12,7 +16,7 @@ from torusvc.lifting import (
 )
 from torusvc.shatter import covered_mask, realizable_by_cube
 from torusvc.stripes import build_stripe_shattered_set
-from torusvc.torus import arc_complement, arc_contains
+from torusvc.torus import PointSet, arc_complement, arc_contains
 
 F = Fraction
 
@@ -139,3 +143,76 @@ def test_mask_out_of_range():
     inst = worked_instance()
     with pytest.raises(ValueError):
         cube_witness(inst, 1 << 6)
+
+
+def unshattered_instance():
+    """Three collinear base points that stripes of length 1/2 do not shatter."""
+    base = PointSet(2, 4, ((F(0), F(0)), (F(1, 4), F(0)), (F(1, 2), F(0))))
+    return lift_points(base, SymbolMatrix(((0, 1, 0, 1), (1, 0, 1, 0)), 2), F(1, 2))
+
+
+def scanned_instance():
+    """The worked lift with its base points reordered, so the base stripes
+    come from the scan rather than from the construction's witnesses."""
+    base = build_stripe_shattered_set(2, F(1, 2))
+    base = PointSet(base.dim, base.denom, base.points[::-1])
+    row = (0, 1, 2, 3, 0, 1, 2, 3)
+    return lift_points(base, SymbolMatrix((row, row), 4), F(1, 2))
+
+
+def corrupted_instance():
+    row = (0, 1, 2, 3, 1, 1, 2, 3)
+    return lift_points(build_stripe_shattered_set(2, F(1, 2)), SymbolMatrix((row, row), 4), F(1, 2))
+
+
+def outcome(witness, inst, mask):
+    try:
+        cube = witness(inst, mask)
+    except ValueError as exc:
+        return "error", str(exc)
+    return cube, repr(cube)
+
+
+@pytest.mark.parametrize("make", [worked_instance, scanned_instance, unshattered_instance,
+                                  corrupted_instance])
+def test_cube_witness_matches_fraction_reference(make):
+    inst = make()
+    assert inst.cells is None  # lift_points builds no cell table
+    for mask in range(1 << len(inst.lifted)):
+        assert outcome(cube_witness, inst, mask) == outcome(reference_lift.cube_witness, inst, mask)
+    assert inst.cells is not None
+
+
+def test_verify_lift_lists_each_failing_mask():
+    report = verify_lift(unshattered_instance(), "exhaustive")
+    assert report.checked == 64
+    assert report.failures == [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 17, 18, 19, 20, 21, 22, 23, 24, 26, 28,
+        30, 32, 33, 34, 35, 36, 37, 38, 39, 40, 42, 44, 46, 48, 49, 50, 51, 52, 53, 54, 55,
+        56, 58, 60, 62,
+    ]
+
+
+@pytest.mark.parametrize("make", [worked_instance, scanned_instance, unshattered_instance])
+def test_base_stripe_runs_once_per_base_subset(make, monkeypatch):
+    calls = []
+    original = lifting._base_stripe
+
+    def counted(inst, subset):
+        calls.append(subset)
+        return original(inst, subset)
+
+    monkeypatch.setattr(lifting, "_base_stripe", counted)
+    inst = make()
+    for _ in range(2):
+        verify_lift(inst, "exhaustive")
+    assert len(calls) == len(set(calls)) <= 1 << len(inst.base)
+
+
+def test_reference_lift_shares_no_code_with_what_it_checks():
+    tree = ast.parse((Path(__file__).parent / "reference_lift.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert {m for m in imported if m.startswith("torusvc")} <= {
+        "torusvc.torus", "torusvc.matching", "torusvc.stripes", "torusvc.shatter"}
+    assert not any(isinstance(node, ast.Import) and any(a.name.startswith("torusvc") for a in node.names)
+                   for node in ast.walk(tree))

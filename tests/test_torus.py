@@ -36,6 +36,18 @@ def test_arc_length_plain_and_wrapping():
     assert arc_length(Arc(F(9, 10), F(1, 10))) == F(1, 5)
 
 
+def test_stored_length_leaves_equality_hash_and_repr_alone():
+    arc = Arc(F(3, 4), F(1, 4))
+    assert arc.length == arc_length(arc) == F(1, 2)
+    assert repr(arc) == "Arc(start=Fraction(3, 4), end=Fraction(1, 4), closed=True)"
+    assert arc == Arc(F(3, 4), F(1, 4))
+    assert hash(arc) == hash((F(3, 4), F(1, 4), True))
+    assert arc != Arc(F(1, 4), F(3, 4))  # same length, other arc
+    assert arc != Arc(F(3, 4), F(1, 4), closed=False)
+    with pytest.raises(TypeError):
+        Arc(F(3, 4), F(1, 4), True, F(1, 2))  # the length is not an argument
+
+
 def test_closed_arc_contains_endpoints():
     for a, b in [(F(1, 4), F(3, 4)), (F(3, 4), F(1, 4)), (F(0), F(1, 2))]:
         arc = Arc(a, b)

@@ -3,15 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from torusvc import shatter
 from torusvc.errors import GuardExceeded
 from torusvc.shatter import (
     BOXES,
+    CUBES,
     STRIPES_ANY,
     Family,
     covered_mask,
+    realizable_by_box,
+    realizable_by_cube,
     realizable_masks,
     shatter_report,
 )
+from torusvc.torus import PointSet
 from torusvc.vcsearch import (
     ConfigCode,
     cyclic_compositions,
@@ -132,3 +137,22 @@ def test_search_finds_and_certifies():
 
 def test_search_can_fail_gracefully():
     assert search_shattered(1, 4, budget=200, seed=1) is None
+
+
+def test_scoring_configurations_keeps_the_oracles_cached_tables():
+    ps = PointSet(2, 5, ((F(0), F(1, 5)), (F(2, 5), F(4, 5)), (F(3, 5), F(0))))
+    realizable_by_box(ps, 0b101)
+    realizable_by_cube(ps, 0b011)
+    before = shatter._prefix_masks.cache_info().misses, shatter._cube_arcs.cache_info().misses
+    assert vc_exact(2, Family(BOXES), 5)[0] == 5
+    assert vc_exact(1, Family(CUBES), 4)[0] == 3
+    assert search_shattered(2, 4, 300, 0) is not None
+    # the scoring builds its tables afresh: only the three re-checks by
+    # shatter_report (two prefix tables, one cube table) went through the caches
+    after = shatter._prefix_masks.cache_info().misses, shatter._cube_arcs.cache_info().misses
+    assert after[0] - before[0] <= 3 and after[1] - before[1] <= 1
+    hits = shatter._prefix_masks.cache_info().hits, shatter._cube_arcs.cache_info().hits
+    shatter._prefix_masks(ps.cols)
+    shatter._cube_arcs(ps.denom, ps.cols)
+    assert (shatter._prefix_masks.cache_info().hits, shatter._cube_arcs.cache_info().hits) == (
+        hits[0] + 1, hits[1] + 1)
