@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .bounds import bounds_table
-from .errors import GuardExceeded, NotCertified
+from .errors import GuardExceeded, NotCertified, VCBracket
 from .extraction import check_extraction, sample_extraction_matrix
 from .fileio import (
     ParseError,
@@ -128,7 +128,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bounds", help="emit the bound comparison table")
     p.add_argument("--d-list", required=True)
 
-    p = sub.add_parser("vc-exact", help="exact VC value by exhaustive enumeration")
+    p = sub.add_parser("vc-exact", help="exact VC value by augmenting shattered sets (small d)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--family", choices=sorted(FAMILY_NAMES), default="boxes")
     p.add_argument("--l")
@@ -219,7 +219,7 @@ def _cmd_certify_lift(args) -> int:
         return EXIT_FAIL
     witnesses = {mask: cube_witness(inst, mask) for mask in masks}
     write_certificate(witnesses, inst.lifted.dim, len(inst.lifted), args.output)
-    print(f"certified {report.checked} masks")
+    print(f"certified {len(witnesses)} masks")
     return EXIT_OK
 
 
@@ -267,7 +267,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_vc_exact(args) -> int:
-    value, _, _ = vc_exact(args.d, _family_from_args(args), args.n_max)
+    try:
+        value, _, _ = vc_exact(args.d, _family_from_args(args), args.n_max)
+    except VCBracket as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_FAIL
     print(value)
     return EXIT_OK
 

@@ -2,25 +2,64 @@
 
 Configurations are encoded combinatorially: per dimension, an assignment of
 points to levels (a weak cyclic order; ties allowed), realized at
-coordinates level/n.  For boxes, subset realizability per dimension depends
-only on which cyclic runs of tied groups an arc can cover, so enumerating
-weak cyclic orders is a complete search.  The enumeration emits one
-representative per class under global point relabeling, per-dimension
-rotation and reflection, and is sound but not maximally reduced.  Levels
-are the integer view of the realized point set over the denominator n, so
-verdicts and search scores count shatter.realizable_masks on them.
+coordinates level/n.  For boxes and for stripes of any length the verdict
+depends only on these weak cyclic orders, because an arc's trace in one
+dimension is a cyclic run of tied groups.  enumerate_configs(d, n) streams
+every weak cyclic order, at least one representative per class under
+global point relabeling, per-dimension rotation and reflection.  Levels are
+the integer view of the realized point set over the denominator n, so every
+verdict counts shatter.realizable_masks on them.
+
+vc_exact does not walk that enumeration; it grows the frontier F_n of
+shattered classes, a class being the canonical_class of a configuration.
+
+Lemma (augmentation).  For boxes and for stripes of any length, F_n is the
+set of classes of the shattered one-point extensions of the members of
+F_(n-1), where a member with b_j levels in dimension j is extended by a point
+that, in each dimension j, ties one of the b_j levels or enters one of the
+b_j cyclic gaps.
+Proof.  Each such extension that is shattered is in F_n.  Conversely, let C
+be a shattered n-point configuration.  Every subset of a shattered set is
+shattered, so C minus its last point is a shattered (n-1)-point
+configuration, and some symmetry (point relabeling, per-dimension rotation
+and reflection, dimension permutation) maps it onto its class in F_(n-1).
+These symmetries preserve the verdict, so the image of C is shattered too,
+and it is that class plus one point in one of the positions above.
+F_1 is the single one-point class, so induction on n gives every F_n, and
+the first empty F_n proves that no larger set is shattered.
+
+Cubes and stripes of one fixed length are subfamilies of boxes and of
+stripes of any length, whose value U bounds theirs from above; but their
+verdicts depend on distances, not only on the order type.  vc_exact
+searches the superfamily's frontier classes, realized at level/n in each
+per-dimension rotation, for a witness the subfamily shatters, and reports
+the value only when a witness reaches U.  Otherwise the largest witness L
+found gives the certified bracket L <= VC <= U, raised as VCBracket.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GuardExceeded, PostconditionError
-from .shatter import BOXES, Family, ShatterReport, realizable_masks, shatter_report
+from .errors import GuardExceeded, PostconditionError, VCBracket
+from .shatter import (
+    BOXES,
+    CUBES,
+    STRIPES_ANY,
+    STRIPES_FIXED,
+    Family,
+    ShatterReport,
+    realizable_masks,
+    shatter_report,
+)
 from .torus import PointSet
 
 ENUM_GUARD_D = 2
 ENUM_GUARD_N = 8
+
+# the superfamily whose frontier a distance-dependent family is searched in
+SUPERFAMILY = {CUBES: BOXES, STRIPES_FIXED: STRIPES_ANY}
 
 
 @dataclass(frozen=True)
@@ -84,12 +123,10 @@ def _ordered_partitions(rest):
     if not rest:
         yield []
         return
-    first = rest[0]
-    others = rest[1:]
-    # choose the block containing `first` among the remaining points
-    for pick in range(1 << len(others)):
-        block = [first] + [others[t] for t in range(len(others)) if pick >> t & 1]
-        remaining = [others[t] for t in range(len(others)) if not pick >> t & 1]
+    # choose the first block among all nonempty subsets of the points
+    for pick in range(1, 1 << len(rest)):
+        block = [rest[t] for t in range(len(rest)) if pick >> t & 1]
+        remaining = [rest[t] for t in range(len(rest)) if not pick >> t & 1]
         for tail in _ordered_partitions(remaining):
             yield [block] + tail
 
@@ -112,12 +149,34 @@ def _dim2_assignments(n: int):
                 yield _levels_from_blocks(blocks, n)
 
 
-def enumerate_configs(d: int, n: int):
-    """Stream one ConfigCode per symmetry class (possibly with duplicates).
+def _extensions(d: int, n: int, frontier):
+    """The one-point extensions of each (n-1)-point class in the frontier:
+    per dimension the new point ties one of the b levels or enters one of
+    the b cyclic gaps; a new point that duplicates an old one is skipped."""
+    for cls in frontier:
+        if len(cls) != n - 1 or any(len(p) != d for p in cls):
+            raise ValueError(f"frontier class {cls} is not {n - 1} points in dimension {d}")
+        options = []
+        for col in zip(*cls):
+            b = max(col) + 1
+            options.append([(col + (t,), t) for t in range(b)]
+                           + [(tuple(x + (x > t) for x in col) + (t + 1,), None) for t in range(b)])
+        for choice in itertools.product(*options):
+            # t is None in a gap, where no old point can sit
+            if tuple(t for _, t in choice) not in cls:
+                yield ConfigCode(d, n, tuple(levels for levels, _ in choice))
 
-    The reduction only identifies configurations related by global point
+
+def enumerate_configs(d: int, n: int, frontier=None):
+    """Stream the n-point configurations to score.
+
+    Without a frontier: one ConfigCode or more per class of all weak cyclic
+    orders, identifying only configurations related by global point
     relabeling, per-dimension rotation/reflection, and dimension
-    permutation, all of which preserve the shattering verdict.
+    permutation, all of which preserve the verdict of boxes and of stripes
+    of any length.  With the complete frontier of shattered (n-1)-point
+    classes: their one-point extensions, which by the module's lemma
+    contain a member of every shattered n-point class.
     """
     if d > ENUM_GUARD_D:
         raise GuardExceeded(f"enumerate_configs guard: d={d} > {ENUM_GUARD_D}")
@@ -125,6 +184,9 @@ def enumerate_configs(d: int, n: int):
         raise GuardExceeded(f"enumerate_configs guard: n={n} > {ENUM_GUARD_N}")
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
+    if frontier is not None:
+        yield from _extensions(d, n, frontier)
+        return
     dim1_classes = []
     for comp in cyclic_compositions(n):
         blocks = []
@@ -142,33 +204,82 @@ def enumerate_configs(d: int, n: int):
             yield ConfigCode(2, n, (lv1, lv2))
 
 
-def vc_exact(d: int, family: Family, n_max: int):
-    """Largest n <= n_max admitting a shattered configuration.
+def canonical_class(levels) -> tuple:
+    """The class of a configuration: the minimum, over dimension
+    permutations and per-dimension rotations and reflections of the
+    dense-ranked levels, of the sorted tuple of points."""
+    images = []
+    for col in levels:
+        rank = {v: r for r, v in enumerate(sorted(set(col)))}
+        b = len(rank)
+        dense = [rank[v] for v in col]
+        images.append([tuple((s * x + r) % b for x in dense) for s in (1, -1) for r in range(b)])
+    return min(
+        tuple(sorted(zip(*cols)))
+        for perm in itertools.permutations(images)
+        for cols in itertools.product(*perm)
+    )
 
-    Returns (value, witness PointSet or None, witness certificate map).
-    The search stops at the first n with no shattered configuration, which
-    by monotonicity also rules out all larger sizes.
+
+def _shattered(cfg: ConfigCode, family: Family) -> bool:
+    return len(realizable_masks(cfg.levels, cfg.n, family)) == 1 << cfg.n
+
+
+def shattered_frontiers(d: int, family: Family, n_max: int) -> list:
+    """[F_1, F_2, ...]: the sorted frontiers of shattered classes of the
+    boxes or any-length stripes, up to n_max or the last nonempty one."""
+    if family.kind not in (BOXES, STRIPES_ANY):
+        raise ValueError(f"order type does not decide the verdict of {family.kind}")
+    frontiers = []
+    frontier = None
+    for n in range(1, n_max + 1):
+        found = {canonical_class(cfg.levels)
+                 for cfg in enumerate_configs(d, n, frontier) if _shattered(cfg, family)}
+        if not found:
+            break
+        frontier = sorted(found)
+        frontiers.append(frontier)
+    return frontiers
+
+
+def _rotations(cls):
+    """The class as a configuration in each per-dimension rotation of its
+    levels, the unrotated one first."""
+    cols = tuple(zip(*cls))
+    for rotation in itertools.product(*(range(max(col) + 1) for col in cols)):
+        yield ConfigCode(len(cols), len(cls), tuple(
+            tuple((x + r) % (max(col) + 1) for x in col) for col, r in zip(cols, rotation)))
+
+
+def vc_exact(d: int, family: Family, n_max: int):
+    """min(VC, n_max): the largest n <= n_max admitting a shattered set.
+
+    Returns (value, witness PointSet, witness certificate map).  For boxes
+    and stripes of any length the witness is the first class of the last
+    nonempty frontier.  For cubes and fixed-length stripes it is the first
+    rotation of a superfamily class the family shatters, searched from the
+    superfamily's value U downward; when the largest such witness has
+    L < U points, raises VCBracket(L, U) instead.  Every witness is
+    re-checked by shatter_report.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    best = 0
-    best_cfg = None
-    for n in range(1, n_max + 1):
-        found = None
-        for cfg in enumerate_configs(d, n):
-            if len(realizable_masks(cfg.levels, n, family)) == 1 << n:
-                found = cfg
-                break
-        if found is None:
-            break
-        best, best_cfg = n, found
-    if best_cfg is None:
-        return 0, None, {}
-    ps = best_cfg.realize()
+    superfamily = Family(SUPERFAMILY.get(family.kind, family.kind))
+    frontiers = shattered_frontiers(d, superfamily, n_max)
+    upper = len(frontiers)
+    value, witness = upper, next(_rotations(frontiers[-1][0]))
+    if family != superfamily:
+        # every family shatters one point, so the search ends by n = 1
+        value, witness = next(
+            (n, cfg) for n in range(upper, 0, -1)
+            for cls in frontiers[n - 1] for cfg in _rotations(cls) if _shattered(cfg, family))
+    ps = witness.realize()
     report = shatter_report(ps, family)
     if not report.shattered:
-        raise PostconditionError(f"the configuration found for n={best} fails its re-check")
-    return best, ps, report.witnesses
+        raise PostconditionError(f"the configuration found for n={value} fails its re-check")
+    if value < upper:
+        raise VCBracket(value, upper)
+    return value, ps, report.witnesses
 
 
 def search_shattered(d: int, n: int, budget: int, seed: int):

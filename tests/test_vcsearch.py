@@ -2,13 +2,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from bruteforce import fine_growth
 
-from torusvc import shatter
-from torusvc.errors import GuardExceeded
+from torusvc import shatter, vcsearch
+from torusvc.errors import GuardExceeded, VCBracket
 from torusvc.shatter import (
     BOXES,
     CUBES,
     STRIPES_ANY,
+    STRIPES_FIXED,
     Family,
     covered_mask,
     realizable_by_box,
@@ -19,9 +21,12 @@ from torusvc.shatter import (
 from torusvc.torus import PointSet
 from torusvc.vcsearch import (
     ConfigCode,
+    _dim2_assignments,
+    canonical_class,
     cyclic_compositions,
     enumerate_configs,
     search_shattered,
+    shattered_frontiers,
     vc_exact,
 )
 
@@ -95,6 +100,53 @@ def test_enumeration_complete_dim2():
         assert raw == enum
 
 
+def test_dim2_assignments_reach_every_weak_cyclic_order():
+    # every raw level tuple, dense-ranked and reduced by rotation and
+    # reflection, is one of the emitted assignments
+    for n in range(1, 6):
+        emitted = set(_dim2_assignments(n))
+        for raw in itertools.product(range(n), repeat=n):
+            rank = {v: r for r, v in enumerate(sorted(set(raw)))}
+            b = len(rank)
+            dense = [rank[v] for v in raw]
+            images = {tuple((s * x + r) % b for x in dense) for s in (1, -1) for r in range(b)}
+            assert images & emitted, (n, raw)
+    assert [sum(1 for _ in enumerate_configs(2, n)) for n in range(1, 6)] == [1, 4, 15, 85, 581]
+
+
+@pytest.mark.parametrize("d, kind, n_top", [(1, BOXES, 5), (1, STRIPES_ANY, 5),
+                                            (2, BOXES, 6), (2, STRIPES_ANY, 5)])
+def test_augmentation_frontier_matches_the_complete_enumeration(d, kind, n_top):
+    family = Family(kind)
+    frontiers = shattered_frontiers(d, family, n_top)
+    for n in range(1, n_top + 1):
+        complete = sorted({
+            canonical_class(cfg.levels) for cfg in enumerate_configs(d, n)
+            if len(realizable_masks(cfg.levels, n, family)) == 1 << n
+        })
+        assert (frontiers[n - 1] if n <= len(frontiers) else []) == complete
+
+
+def test_frontier_extensions_validate_their_classes():
+    with pytest.raises(ValueError):
+        list(enumerate_configs(2, 3, [((0, 0),)]))
+    # one point in the plane: a tie or a gap per dimension, minus the duplicate
+    assert [cfg.levels for cfg in enumerate_configs(2, 2, [((0, 0),)])] == [
+        ((0, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 1), (0, 1))]
+
+
+def test_canonical_class_identifies_the_symmetries():
+    levels = ((0, 2, 1, 2), (3, 0, 0, 1))
+    cls = canonical_class(levels)
+    moved = (
+        tuple((2 - x) % 3 for x in levels[0]),  # reflect and rotate
+        tuple(x + 1 for x in levels[1]),  # not dense: ranked first
+    )
+    for variant in (levels, moved, levels[::-1], moved[::-1],
+                    tuple(tuple(col[p] for p in (3, 1, 0, 2)) for col in levels)):
+        assert canonical_class(variant) == cls
+
+
 def test_enumeration_guards():
     with pytest.raises(GuardExceeded):
         list(enumerate_configs(3, 2))
@@ -116,6 +168,48 @@ def test_vc_exact_dim1_boxes_is_three():
 def test_vc_exact_dim1_any_stripes():
     value, _, _ = vc_exact(1, Family(STRIPES_ANY), 4)
     assert value == 3  # arcs shatter 3 cyclic points, never 4
+
+
+def test_vc_exact_dim2_any_stripes_is_five():
+    value, ps, witnesses = vc_exact(2, Family(STRIPES_ANY), 8)
+    assert value == 5 and len(witnesses) == 32
+    assert fine_growth(ps, "stripes-any") == 32
+    # the pentagram the enumeration used to miss is shattered as well
+    pentagram = ConfigCode(2, 5, ((0, 1, 2, 3, 4), (0, 2, 4, 1, 3))).realize()
+    assert shatter_report(pentagram, Family(STRIPES_ANY)).shattered
+    assert fine_growth(pentagram, "stripes-any") == 32
+    # the upper side: on 6 points an open arc traces, in one dimension, no
+    # point, every point, or a proper cyclic run (one of 6 starts and 5
+    # lengths), so stripes in T^2 realize at most 2 + 2 * 6 * 5 = 62 < 64
+    # subsets; the value 5 < n_max = 8 says the frontier at n = 6 is empty
+    assert 2 + 2 * 6 * 5 < 1 << 6
+
+
+def test_vc_exact_scores_a_fifth_of_the_old_enumeration(monkeypatch):
+    scored = 0
+    enumerate_all = vcsearch.enumerate_configs
+
+    def counted(*args):
+        nonlocal scored
+        for cfg in enumerate_all(*args):
+            scored += 1
+            yield cfg
+
+    monkeypatch.setattr(vcsearch, "enumerate_configs", counted)
+    assert vc_exact(2, Family(BOXES), 7)[0] == 6
+    assert 0 < scored <= 14918 // 5
+
+
+def test_distance_dependent_families_need_a_witness_at_the_superfamily_value():
+    value, ps, witnesses = vc_exact(1, Family(CUBES), 4)
+    assert value == 3 and len(witnesses) == 8
+    half = Family(STRIPES_FIXED, F(1, 2))
+    with pytest.raises(VCBracket) as bracket:
+        vc_exact(1, half, 8)
+    # points at level/n find only one shattered point, while any-length
+    # stripes shatter 3; {0, 1/4} shows that 1 was never the value
+    assert (bracket.value.lower, bracket.value.upper) == (1, 3)
+    assert shatter_report(PointSet(1, 4, ((F(0),), (F(1, 4),))), half).shattered
 
 
 def test_vc_exact_validation():
