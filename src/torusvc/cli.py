@@ -7,6 +7,7 @@ and does not change any result.
 """
 
 import argparse
+import functools
 import sys
 
 from .bounds import bounds_table
@@ -303,10 +304,12 @@ _COMMANDS = {
 }
 
 
+_parser = functools.cache(build_parser)
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

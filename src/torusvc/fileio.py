@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import lcm
 
 from .extraction import SymbolMatrix
-from .torus import Arc, Box, Cube, PointSet, Stripe, arc_length
+from .torus import Arc, Box, Cube, PointSet, Stripe
 
 
 class ParseError(ValueError):
@@ -102,18 +102,14 @@ def _shape_kind(shape) -> str:
     return "box"
 
 
-def _shape_denominator(shape) -> int:
-    if isinstance(shape, Stripe):
-        return lcm(shape.arc.start.denominator, arc_length(shape.arc).denominator)
-    dens = [a.start.denominator for a in shape.arcs]
-    dens += [arc_length(a).denominator for a in shape.arcs]
-    return lcm(*dens)
+def _shape_arcs(shape) -> tuple:
+    return (shape.arc,) if isinstance(shape, Stripe) else shape.arcs
 
 
-def _numerator(x, denom: int) -> int:
-    """x * denom for a rational x whose denominator divides denom."""
-    p, q = x.as_integer_ratio()
-    return p * (denom // q)
+def _scaled(arc: Arc, denom: int) -> tuple:
+    """(start, length) numerators over denom, a multiple of the arc's grid q."""
+    s, _, w, q = arc.grid
+    return s * (denom // q), w * (denom // q)
 
 
 def write_certificate(witnesses: dict, dim: int, n_points: int, path: str) -> None:
@@ -124,19 +120,16 @@ def write_certificate(witnesses: dict, dim: int, n_points: int, path: str) -> No
     if len(kinds) != 1:
         raise ValueError(f"mixed shape kinds in certificate: {sorted(kinds)}")
     kind = kinds.pop()
-    denom = lcm(*(_shape_denominator(s) for s in witnesses.values()))
+    # lcm(start, end denominators) = lcm(start, length denominators): end = start + length mod 1
+    denom = lcm(*(a.grid[3] for s in witnesses.values() for a in _shape_arcs(s)))
     lines = [f"{dim} {n_points} {denom} {kind}"]
     for mask in sorted(witnesses):
         shape = witnesses[mask]
+        starts, lengths = zip(*(_scaled(a, denom) for a in _shape_arcs(shape)))
         if kind == "stripe":
-            nums = [shape.anchor_dim, _numerator(shape.arc.start, denom)]
-            tail = [_numerator(arc_length(shape.arc), denom)]
+            nums, tail = [shape.anchor_dim, *starts], lengths
         else:
-            nums = [_numerator(a.start, denom) for a in shape.arcs]
-            if kind == "cube":
-                tail = [_numerator(shape.edge, denom)]
-            else:
-                tail = [_numerator(arc_length(a), denom) for a in shape.arcs]
+            nums, tail = starts, lengths[:1] if kind == "cube" else lengths
         lines.append(
             f"mask={mask:x} shape="
             + " ".join(str(v) for v in nums)
@@ -212,7 +205,7 @@ def _build_shape(kind, dim, denom, nums, tail, arcs):
         if len(tail) != 1:
             raise ValueError("cube shape needs a single edge numerator")
         cube_arcs = tuple(_arc_from(s, tail[0], denom, True, arcs) for s in nums)
-        return Cube(cube_arcs, Fraction(tail[0], denom))
+        return Cube(cube_arcs)  # the edge is the arcs' length, tail[0] / denom
     if len(tail) != dim:
         raise ValueError(f"expected {dim} arc lengths, got {len(tail)}")
     return Box(tuple(_arc_from(s, ln, denom, True, arcs) for s, ln in zip(nums, tail)))

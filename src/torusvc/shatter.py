@@ -13,7 +13,8 @@ inside a shared cell, so arc endpoints on the quarter-grid {t/(4D)} (three
 candidates inside every gap) realize every pattern that any real arc does.
 
 Coverage is integer arithmetic on PointSet.cols (numerators over D): _cover
-rounds an arc's endpoints onto the point grid and XORs two prefix masks.
+rounds an arc's grid endpoints (Arc.grid) onto the point grid and XORs two
+prefix masks.
 The cube and stripe candidates do not depend on the requested subset, so
 their coverages are tabulated once per point set and stripe length.
 
@@ -120,8 +121,8 @@ def covered_mask(ps: PointSet, shape) -> Mask:
     tables = _prefix_masks(ps.cols)
     m = (1 << len(ps)) - 1
     for j, arc in factors:
-        (sp, sq), (ep, eq) = arc.start.as_integer_ratio(), arc.end.as_integer_ratio()
-        m &= _cover(tables[j], sp * eq * ps.denom, ep * sq * ps.denom, sq * eq, arc.closed)
+        s, e, _, q = arc.grid
+        m &= _cover(tables[j], s * ps.denom, e * ps.denom, q, arc.closed)
     return m
 
 

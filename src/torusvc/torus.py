@@ -1,10 +1,14 @@
 """Exact rational geometry on the circle and its d-fold products.
 
-All coordinates are `fractions.Fraction` values in [0, 1).  An arc is a
-proper sub-interval of the circle; an arc whose start exceeds its end wraps
-through 0.  Boxes are products of closed arcs, cubes are boxes whose arcs
-share a common length, and stripes are products of full circles with a
-single open arc in one anchor dimension.  Nothing in this module rounds.
+All coordinates are `fractions.Fraction` values (or ints) in [0, 1); a
+float is refused.  An arc is a proper sub-interval of the circle; an arc
+whose start exceeds its end wraps through 0.  Each arc carries its grid
+form (s, e, w, q), computed once: start s/q, end e/q and length w/q over
+q = lcm of the endpoint denominators, so the cube edge check, coverage and
+certificate output multiply integers.  Boxes are products of closed arcs,
+cubes are boxes whose arcs share a common length, and stripes are products
+of full circles with a single open arc in one anchor dimension.  Nothing
+in this module rounds.
 """
 
 from dataclasses import dataclass, field
@@ -13,12 +17,14 @@ from math import lcm
 
 Rat = Fraction
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def _check_coord(x: Rat, what: str = "coordinate") -> None:
-    if not (ZERO <= x < ONE):
+    # an exact type test: Arc runs it for every witness, and a float never passes
+    if type(x) is not Fraction and type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not a Fraction or an int")
+    if not 0 <= x.numerator < x.denominator:
         raise ValueError(f"{what} {x} outside [0,1)")
 
 
@@ -31,14 +37,21 @@ class Arc:
     closed: bool = True
     # end - start, or 1 - start + end when wrapping; computed once
     length: Rat = field(init=False, repr=False, compare=False)
+    # (s, e, w, q): start s/q, end e/q, length w/q, q = lcm of the endpoint denominators
+    grid: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_coord(self.start, "arc start")
-        _check_coord(self.end, "arc end")
-        if self.start == self.end:
+        start, end = self.start, self.end
+        _check_coord(start, "arc start")
+        _check_coord(end, "arc end")
+        sq, eq = start.denominator, end.denominator
+        q = lcm(sq, eq)
+        s, e = start.numerator * (q // sq), end.numerator * (q // eq)
+        if s == e:
             raise ValueError("degenerate or full-circle arc is not allowed")
-        length = self.end - self.start if self.start < self.end else ONE - self.start + self.end
-        object.__setattr__(self, "length", length)
+        w = e - s if s < e else q - s + e
+        object.__setattr__(self, "length", Fraction(w, q))
+        object.__setattr__(self, "grid", (s, e, w, q))
 
 
 def arc_length(arc: Arc) -> Rat:
@@ -89,9 +102,11 @@ class Cube(Box):
     def __post_init__(self):
         super().__post_init__()
         if self.edge is None:
-            object.__setattr__(self, "edge", arc_length(self.arcs[0]))
+            object.__setattr__(self, "edge", self.arcs[0].length)
+        num, den = self.edge.numerator, self.edge.denominator
         for a in self.arcs:
-            if arc_length(a) != self.edge:
+            _, _, w, q = a.grid
+            if w * den != num * q:
                 raise ValueError("cube arcs must all have the edge length")
 
 

@@ -207,17 +207,29 @@ def enumerate_configs(d: int, n: int, frontier=None):
 def canonical_class(levels) -> tuple:
     """The class of a configuration: the minimum, over dimension
     permutations and per-dimension rotations and reflections of the
-    dense-ranked levels, of the sorted tuple of points."""
-    images = []
+    dense-ranked levels, of the sorted tuple of points.
+
+    Lemma (anchoring).  The minimum is taken over the images that send some
+    point p to the origin, one per point, reflection vector and dimension
+    permutation: n·2^d·d! images instead of d!·∏(2b_j).
+    Proof.  Let I be an image whose first point q is not the origin.
+    Rotations act on each dimension independently, so rotating each
+    dimension j of I by -q_j gives another image, which holds the origin;
+    the origin is the least point, so that image sorts before I.  Hence the
+    minimum holds the origin, as the image of some point p, and given p,
+    the reflections and the permutation, one rotation per dimension sends
+    p to 0.
+    """
+    dense = []
     for col in levels:
         rank = {v: r for r, v in enumerate(sorted(set(col)))}
-        b = len(rank)
-        dense = [rank[v] for v in col]
-        images.append([tuple((s * x + r) % b for x in dense) for s in (1, -1) for r in range(b)])
+        dense.append(([rank[v] for v in col], len(rank)))
     return min(
         tuple(sorted(zip(*cols)))
-        for perm in itertools.permutations(images)
-        for cols in itertools.product(*perm)
+        for p in range(len(levels[0]))
+        for signs in itertools.product((1, -1), repeat=len(dense))
+        for cols in itertools.permutations(
+            [tuple(s * (x - col[p]) % b for x in col) for (col, b), s in zip(dense, signs)])
     )
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from torusvc import cli as cli_module
 from torusvc.cli import run
 from torusvc.extraction import SymbolMatrix
 from torusvc.fileio import read_points, write_matrix, write_points
@@ -49,6 +50,31 @@ def test_usage_errors():
     assert code == 2  # missing file
     code, _, err = cli("bounds", "--d-list", "2,x")
     assert code == 2
+
+
+def test_parser_is_built_once_and_parses_like_a_fresh_one(tmp_path):
+    pts = write_demo_points(tmp_path)
+    argvs = [("shatter",), ("no-such-command",), ("--help",), ("growth", pts, "--family", "cubes"),
+             ("vc-exact", "--d", "1", "--family", "boxes", "--l", "1/2")]
+    fresh = []
+    for argv in argvs:
+        cli_module._parser.cache_clear()
+        fresh.append(catching_exit(*argv))
+    # the last fresh parser then serves every later run, with the same output
+    assert [catching_exit(*argv) for argv in argvs] == fresh
+    assert [catching_exit(*argv) for argv in argvs] == fresh
+    info = cli_module._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * len(argvs))
+
+
+def catching_exit(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:  # --help exits from inside argparse
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_shatter_exit_codes(tmp_path):

@@ -55,7 +55,8 @@ def test_four_equally_spaced_points_boxes():
 
 
 def test_covered_mask_agrees_with_shape_contains():
-    # endpoints on and off the point grid, closed and open, plain and wrapping
+    # endpoints on and off the point grid, closed and open, plain and wrapping;
+    # starts, ends and cube edges on unrelated denominators
     rng = random.Random(5)
     for ps in seeded_point_sets(37, 30, 5, 3, 8):
         def coord():
@@ -70,8 +71,10 @@ def test_covered_mask_agrees_with_shape_contains():
             return Arc(start, end, closed=closed)
 
         for _ in range(20):
+            edge = F(rng.randint(1, 10), 11)
             shapes = [
                 Box(tuple(arc(True) for _ in range(ps.dim))),
+                Cube(tuple(Arc(s, (s + edge) % 1) for s in (coord() for _ in range(ps.dim)))),
                 Stripe(rng.randrange(ps.dim), arc(False), ps.dim),
             ]
             for shape in shapes:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -46,6 +47,32 @@ def test_stored_length_leaves_equality_hash_and_repr_alone():
     assert arc != Arc(F(3, 4), F(1, 4), closed=False)
     with pytest.raises(TypeError):
         Arc(F(3, 4), F(1, 4), True, F(1, 2))  # the length is not an argument
+
+
+def test_float_coordinates_are_refused():
+    with pytest.raises(ValueError):
+        Arc(0.1, 0.3)
+    with pytest.raises(ValueError):
+        Arc(F(1, 10), 0.3)
+    with pytest.raises(ValueError):
+        PointSet(1, 4, ((0.25,),))
+    # ints are exact: 0 is a coordinate
+    assert Arc(0, F(1, 2)) == Arc(F(0), F(1, 2))
+    assert PointSet(1, 4, ((0,),)).cols == ((0,),)
+
+
+def test_grid_is_the_exact_integer_form():
+    rng = random.Random(13)
+    for _ in range(300):
+        qs, qe = rng.randint(1, 30), rng.randint(1, 30)
+        start, end = F(rng.randrange(qs), qs), F(rng.randrange(qe), qe)
+        if start == end:
+            continue
+        arc = Arc(start, end, closed=bool(rng.getrandbits(1)))
+        s, e, w, q = arc.grid
+        assert q == math.lcm(start.denominator, end.denominator)
+        assert (F(s, q), F(e, q), F(w, q)) == (start, end, arc.length)
+        assert 0 < w < q and (s + w) % q == e
 
 
 def test_closed_arc_contains_endpoints():
@@ -98,6 +125,14 @@ def test_cube_derives_and_checks_edge():
     assert cube.edge == F(1, 3)
     with pytest.raises(ValueError):
         Cube((Arc(F(0), F(1, 3)), Arc(F(1, 2), F(3, 4))))
+    # lengths 2/6 on the 1/6 grid, plain and wrapping, against an edge of 1/3
+    third = F(1, 3)
+    cube = Cube((Arc(F(1, 2), F(5, 6)), Arc(F(5, 6), F(1, 6)), Arc(F(1, 6), F(1, 2))), third)
+    assert [a.grid[2:] for a in cube.arcs] == [(2, 6)] * 3
+    with pytest.raises(ValueError):
+        Cube((Arc(F(1, 2), F(5, 6) + F(1, 1000)),), third)
+    with pytest.raises(ValueError):
+        Cube((Arc(F(1, 2), F(5, 6)),), third + F(1, 1000))
 
 
 def test_box_requires_closed_arcs():

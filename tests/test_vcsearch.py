@@ -1,7 +1,11 @@
+import ast
 import itertools
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import reference_canonical
 from bruteforce import fine_growth
 
 from torusvc import shatter, vcsearch
@@ -145,6 +149,21 @@ def test_canonical_class_identifies_the_symmetries():
     for variant in (levels, moved, levels[::-1], moved[::-1],
                     tuple(tuple(col[p] for p in (3, 1, 0, 2)) for col in levels)):
         assert canonical_class(variant) == cls
+
+
+def test_anchored_canonical_class_matches_the_unanchored_minimum():
+    rng = random.Random(17)
+    for _ in range(300):
+        d, n = rng.randint(1, 3), rng.randint(1, 7)
+        levels = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(d))
+        assert canonical_class(levels) == reference_canonical.canonical_class(levels), levels
+
+
+def test_reference_canonical_class_imports_nothing_from_the_package():
+    tree = ast.parse((Path(__file__).parent / "reference_canonical.py").read_text())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert names and not any(name.startswith("torusvc") for name in names)
 
 
 def test_enumeration_guards():
