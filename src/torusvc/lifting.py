@@ -94,7 +94,7 @@ def _base_stripe(inst: LiftInstance, subset: Mask):
     if inst.canonical_n is not None:
         s = stripe_witness(inst.canonical_n, inst.length, subset, inst.base.dim)
         return s.anchor_dim, s.arc.start
-    stripe = scan_stripe(inst.base, subset, inst.length, wrapping=False)
+    stripe = scan_stripe(inst.base, subset, inst.length)
     if stripe is None:
         raise ValueError(
             f"base set admits no interval stripe of length {inst.length} realizing {subset:#x}"

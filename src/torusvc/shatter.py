@@ -1,25 +1,38 @@
-"""Realizability oracles and shattering verdicts.
+"""Shattering verdicts, growth counts and witnesses from one closure.
 
 A subset of a point set is encoded as an integer bitmask (bit i set means
-point i belongs to the subset).  Each oracle either returns a shape whose
-intersection with the point set is exactly the requested subset, or None
-when no such shape exists; every returned shape is re-checked with
-covered_mask, and a mismatch raises PostconditionError.
+point i belongs to the subset).  In one dimension the trace of an arc on
+the points is empty or a cyclic run of tied point groups.  A box realizes
+the AND of one trace per dimension, a cube the same AND over the arcs of
+one edge length, and a stripe a single trace.  _closure builds these ANDs
+one dimension at a time: level j maps each AND of one trace from each of
+the first j+1 tables to the first (previous mask, trace) pair that gives
+it, walking the previous level in insertion order and each table in table
+order.  Growth counts and vcsearch read the keys of the last level.
+shatter_report reads a shattered set's witnesses off the back-pointers;
+the oracles, and shatter_report for its first 2^(n-8) masks, find the
+same witness of one mask without the closure.  The first-seen rule makes
+each witness a function of the point set alone, and covered_mask
+re-checks every witness (a mismatch raises PostconditionError).
 
-The oracles are complete at grid resolution: because every coordinate is
-a multiple of 1/D, the containment pattern of an arc only depends on which
+The tables are complete at grid resolution: because every coordinate is a
+multiple of 1/D, the containment pattern of an arc only depends on which
 grid cell (point or open gap) each endpoint lies in and on their order
 inside a shared cell, so arc endpoints on the quarter-grid {t/(4D)} (three
 candidates inside every gap) realize every pattern that any real arc does.
+The run of distinct values v_a..v_c (wrapping when a > c) is traced by
+the arc from (4 v_a - 1)/(4D) to (4 v_c + 1)/(4D), closed for boxes and
+open for stripes of any length, and the empty trace by the arc from
+(4v + 1)/(4D) to (4v + 2)/(4D).  A realizable cube pattern is realizable
+with the maximal per-dimension enclosing length, a multiple of 1/D, or
+with the minimal edge 1/(2D), so cube edges run over t/(2D) in ascending
+order with starts on the quarter-grid.  Fixed-length stripes start on
+{t/g}, g = 2 lcm(D, denominator of the length), where every critical start
+lies.
 
 Coverage is integer arithmetic on PointSet.cols (numerators over D): _cover
 rounds an arc's grid endpoints (Arc.grid) onto the point grid and XORs two
 prefix masks.
-The cube and stripe candidates do not depend on the requested subset, so
-their coverages are tabulated once per point set and stripe length.
-
-realizable_masks reads the whole set of realizable masks from the same
-tables, asking no oracle; the tests hold it equal to what the oracles find.
 """
 
 from bisect import bisect_left
@@ -30,7 +43,6 @@ from math import lcm
 
 from .errors import GuardExceeded, PostconditionError
 from .torus import (
-    ONE,
     Arc,
     Box,
     Cube,
@@ -38,7 +50,6 @@ from .torus import (
     Rat,
     Stripe,
     arc_contains,  # noqa: F401  (a binding site bench/test_bench.py checks)
-    maximal_gaps,
 )
 
 Mask = int
@@ -46,6 +57,7 @@ Mask = int
 SHATTER_GUARD_N = 30
 GROWTH_GUARD_N = 20
 TABLE_CACHE_SIZE = 8  # point sets (times family parameters) with cached tables
+PROBE_SHIFT = 8  # shatter_report tries 2^(n - 8) masks one at a time before the full closure
 
 BOXES = "boxes_per"
 CUBES = "cubes_per"
@@ -93,8 +105,7 @@ def _prefix_table(cols: tuple) -> tuple:
     return tuple(tables)
 
 
-# the per-mask oracles' copy; realizable_masks builds its tables afresh, so
-# scoring many one-off point sets evicts none of these
+# realizable_masks builds its tables afresh: one-off point sets evict none of these
 _prefix_masks = lru_cache(maxsize=TABLE_CACHE_SIZE)(_prefix_table)
 
 
@@ -134,246 +145,249 @@ def _checked(ps: PointSet, subset: Mask, shape):
     return shape
 
 
-def _check_mask(ps: PointSet, subset: Mask) -> None:
-    if subset < 0 or subset >> len(ps):
-        raise ValueError(f"mask {subset:#x} refers to out-of-range point indices")
+def _runs(denom: int, prefix: tuple) -> tuple:
+    """Per dimension, {trace: (s, e)}: the empty trace, then the cyclic run
+    of value indices a..c for each a, then c, each with its first arc from
+    s/(4D) to e/(4D)."""
+    g = 4 * denom
+    tables = []
+    for values, below in prefix:
+        v = values[0] if values else 0
+        runs = {0: (4 * v + 1, 4 * v + 2)}
+        for a in range(len(values)):
+            for c in range(len(values)):
+                trace = below[c + 1] ^ below[a] ^ (below[-1] if a > c else 0)
+                runs.setdefault(trace, ((4 * values[a] - 1) % g, 4 * values[c] + 1))
+        tables.append(runs)
+    return tuple(tables)
 
 
-def _arc_inside_gap(gap_start: Rat, gap_len: Rat) -> Arc:
-    """A closed arc strictly inside the open gap, containing no grid point."""
-    s = (gap_start + gap_len / 4) % ONE
-    e = (gap_start + 3 * gap_len / 4) % ONE
-    return Arc(s, e)
-
-
-def _point_arc(v: Rat, denom: int) -> Arc:
-    """A short closed arc around v containing no other 1/denom grid value."""
-    h = Fraction(1, 4 * denom)
-    return Arc((v - h) % ONE, (v + h) % ONE)
-
-
-def _choose_per_dim(per_dim_options, goal: Mask):
-    """DP over dimensions: one option per dim, OR of masks must equal goal.
-
-    Returns the chosen payloads (one per dimension) or None.
-    """
-    # levels[j] maps reachable mask after dims 0..j-1 to (prev mask, payload)
-    levels = [{0: None}]
-    for options in per_dim_options:
-        if not options:
-            return None
-        cur = {}
-        for r in levels[-1]:
-            for mask, payload in options:
-                m = r | mask
-                if m not in cur:
-                    cur[m] = (r, payload)
-        levels.append(cur)
-    if goal not in levels[-1]:
-        return None
-    chosen = []
-    m = goal
-    for level in reversed(levels[1:]):
-        prev, payload = level[m]
-        chosen.append(payload)
-        m = prev
-    chosen.reverse()
-    return chosen
-
-
-def realizable_by_box(ps: PointSet, subset: Mask):
-    """A box whose intersection with ps is exactly the subset, or None.
-
-    Per dimension only minimal enclosing arcs of the subset's coordinates
-    matter (one per maximal gap): any realizing box contains one of them,
-    and shrinking to it only removes outsiders.
-    """
-    _check_mask(ps, subset)
-    n, denom = len(ps), ps.denom
-    if subset == 0:
-        if n == 0:
-            return Box(tuple(Arc(Fraction(0), Fraction(1, 2)) for _ in range(ps.dim)))
-        gs, _, gl = maximal_gaps(ps.cols[0], denom)[0]
-        arcs = [_arc_inside_gap(Fraction(gs, denom), Fraction(gl, denom))]
-        arcs += [Arc(Fraction(0), Fraction(1, 2)) for _ in range(ps.dim - 1)]
-        return _checked(ps, subset, Box(tuple(arcs)))
-
-    outsiders = ((1 << n) - 1) ^ subset
-    per_dim = []
-    for col, table in zip(ps.cols, _prefix_masks(ps.cols)):
-        inside = [v for i, v in enumerate(col) if subset >> i & 1]
-        per_dim.append([
-            (_cover(table, gs, ge, 1, False) & outsiders, (gs, ge))
-            for gs, ge, _ in maximal_gaps(inside, denom)
-        ])
-    chosen = _choose_per_dim(per_dim, outsiders)
-    if chosen is None:
-        return None
-    arcs = []
-    for gs, ge in chosen:
-        if gs == ge:
-            arcs.append(_point_arc(Fraction(gs, denom), denom))
-        else:
-            arcs.append(Arc(Fraction(ge, denom), Fraction(gs, denom)))
-    return _checked(ps, subset, Box(tuple(arcs)))
-
-
-def _first_arcs(denom: int, prefix: tuple, g: int, width, closed: bool) -> tuple:
-    """Per dimension of the prefix tables, {coverage: (s, e)} for the first
-    arc from s/g to e/g giving each coverage, scanning s, then e: every
-    e != s on the grid, or e = (s + width) mod g for a fixed width 0 < width < g."""
+def _first_arcs(denom: int, prefix: tuple, g: int, width: int, closed: bool) -> tuple:
+    """Per dimension, {trace: (s, e)} for the first arc from s/g to
+    e/g = (s + width)/g mod 1 giving each trace, scanning s upward."""
     tables = []
     for table in prefix:
         first = {}
         for s in range(g):
-            for e in range(g) if width is None else ((s + width) % g,):
-                if e != s:
-                    first.setdefault(_cover(table, s, e, g // denom, closed), (s, e))
+            e = (s + width) % g
+            first.setdefault(_cover(table, s, e, g // denom, closed), (s, e))
         tables.append(first)
     return tuple(tables)
 
 
-def _stripe_table(denom: int, prefix: tuple, length) -> tuple:
-    """(g, width, _first_arcs of the open arcs) of the stripe scan: starts on
-    t/g, g = 2 lcm(D, denominator of length), width = length g; or, without
-    a length, any start and end on the quarter-grid g = 4D."""
-    g = 4 * denom if length is None else 2 * lcm(denom, length.denominator)
-    width = None if length is None else int(length * g)
-    return g, width, _first_arcs(denom, prefix, g, width, False)
+def _components(denom: int, prefix: tuple, family: Family):
+    """(g, closed, components): the grid 1/g of the family's arc ends,
+    whether its arcs are closed, and the (label, per-dimension tables)
+    whose closures it unites, in scan order: the one box closure; a cube
+    closure per edge t/(2D), the label, ascending (built lazily); a stripe
+    closure per anchor dimension, the label."""
+    g = 4 * denom
+    if family.kind == BOXES:
+        return g, True, [(None, _runs(denom, prefix))]
+    if family.kind == CUBES:
+        return g, True, ((Fraction(t, 2 * denom), _first_arcs(denom, prefix, g, 2 * t, True))
+                         for t in range(1, 2 * denom))
+    if family.kind == STRIPES_ANY:
+        tables = _runs(denom, prefix)
+    else:
+        g = 2 * lcm(denom, family.length.denominator)
+        tables = _first_arcs(denom, prefix, g, int(family.length * g), False)
+    return g, False, [(j, (table,)) for j, table in enumerate(tables)]
 
 
-def _cube_table(denom: int, prefix: tuple) -> tuple:
-    """_first_arcs of the closed arcs of each edge t/(2D), t = 1..2D-1, starting on {s/(4D)}."""
-    return tuple(_first_arcs(denom, prefix, 4 * denom, 2 * t, True) for t in range(1, 2 * denom))
+def _closure(tables, full: Mask) -> list:
+    """Per table, {mask: (prev_mask, trace)}: every AND of full with one
+    trace of each table so far, keyed to the first pair that gives it."""
+    levels, prev = [], (full,)
+    for table in tables:
+        cur = {}
+        for r in prev:
+            for trace in table:
+                m = r & trace
+                if m not in cur:
+                    cur[m] = (r, trace)
+        levels.append(cur)
+        prev = cur
+    return levels
+
+
+def realizable_masks(cols: tuple, denom: int, family: Family) -> set:
+    """The masks the family realizes on the points with integer view cols
+    (numerators over denom): the keys of the last level of each closure,
+    united until all 2^n are present.  The tables are built afresh and
+    left out of the oracles' caches."""
+    full = (1 << len(cols[0])) - 1
+    masks = set()
+    for _, tables in _components(denom, _prefix_table(cols), family)[2]:
+        masks.update(_closure(tables, full)[-1])
+        if len(masks) > full:
+            break
+    return masks
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _stripe_arcs(denom: int, cols: tuple, length) -> tuple:
-    """The oracles' cached _stripe_table of a point set."""
-    return _stripe_table(denom, _prefix_masks(cols), length)
+def _family_tables(denom: int, cols: tuple, family: Family) -> tuple:
+    """The oracles' cached _components of a point set, every table built."""
+    g, closed, components = _components(denom, _prefix_masks(cols), family)
+    return g, closed, tuple(components)
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _cube_arcs(denom: int, cols: tuple) -> tuple:
-    """The oracles' cached _cube_table of a point set."""
-    return _cube_table(denom, _prefix_masks(cols))
+def _minimal(masks) -> list:
+    """The inclusion-minimal ones among masks."""
+    kept = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if all(k & m != k for k in kept):
+            kept.append(m)
+    return kept
 
 
-def realizable_by_cube(ps: PointSet, subset: Mask):
-    """A cube whose intersection with ps is exactly the subset, or None.
+def _first_ends(components, full: Mask, mask: Mask):
+    """(label, arc ends) of mask's witness in the first closure holding it,
+    or None, without the closures.  A closure keys each mask to the least
+    choice of table positions, in lexicographic order, whose traces AND to
+    it; so each table keeps its first trace after which the later tables'
+    minimal traces containing mask can still reach mask (a smaller trace
+    containing mask never spoils a choice)."""
+    for label, tables in components:
+        holding = [[t for t in table if t & mask == mask] for table in tables]
+        if not all(holding):
+            continue
+        mins = [_minimal(traces) for traces in holding]
+        dead = set()  # (j, r): no minimal traces of tables j.. cut r to mask
 
-    Scans candidate edge lengths on the half-grid in ascending order (a
-    realizable pattern is realizable either with the maximal per-dimension
-    enclosing length, a multiple of 1/D, or with the minimal edge 1/(2D));
-    arc starts run over the quarter-grid so that both endpoints can sit
-    strictly inside the same gap.  For each length the per-dimension arcs
-    containing all subset coordinates yield outsider-exclusion masks,
-    combined by an OR-closure across dimensions.
-    """
-    _check_mask(ps, subset)
-    g = 4 * ps.denom
-    outsiders = ((1 << len(ps)) - 1) ^ subset
-    for t, per_dim in enumerate(_cube_arcs(ps.denom, ps.cols), start=1):
-        options = [[(outsiders & ~cov, arc) for cov, arc in first.items() if cov & subset == subset]
-                   for first in per_dim]
-        chosen = _choose_per_dim(options, outsiders) if all(options) else None
-        if chosen is not None:
-            arcs = tuple(Arc(Fraction(s, g), Fraction(e, g)) for s, e in chosen)
-            return _checked(ps, subset, Cube(arcs, Fraction(t, 2 * ps.denom)))
+        def reaches(j, r):  # recursing only on a cut keeps the depth below n
+            if r == mask:
+                return True
+            tried = []
+            for k in range(j, len(mins)):
+                if (k, r) in dead:
+                    break
+                tried.append((k, r))
+                keeps = False
+                for t in mins[k]:
+                    if r & t == r:
+                        keeps = True
+                    elif reaches(k + 1, r & t):
+                        return True
+                if not keeps:
+                    break
+            dead.update(tried)
+            return False
+
+        r, ends = full, []
+        for j, (table, traces) in enumerate(zip(tables, holding), start=1):
+            t = next((t for t in traces if reaches(j, r & t)), None)
+            if t is None:
+                break
+            r &= t
+            ends.append(table[t])
+        else:
+            return label, tuple(ends)
     return None
 
 
-def scan_stripe(ps: PointSet, subset: Mask, length: Rat = None, wrapping: bool = True):
-    """The first stripe realizing the subset, or None, scanning dimensions
-    then the arcs of _stripe_arcs, with start + length <= 1 unless wrapping."""
-    g, width, tables = _stripe_arcs(ps.denom, ps.cols, length)
-    for j, first in enumerate(tables):
+def _all_ends(components, full: Mask) -> dict:
+    """{mask: (label, arc ends)} for every mask the closures hold, each
+    walked back from the first closure holding it, stopping at 2^n masks."""
+    found = {}
+    for label, tables in components:
+        levels = _closure(tables, full)
+        for mask in levels[-1].keys() - found.keys():
+            ends, m = [], mask
+            for level, table in zip(reversed(levels), reversed(tables)):
+                m, trace = level[m]
+                ends.append(table[trace])
+            found[mask] = label, tuple(reversed(ends))
+        if len(found) > full:
+            break
+    return found
+
+
+def _shape(ps: PointSet, family: Family, g: int, closed: bool, subset: Mask, label, ends, arcs):
+    """The checked shape of subset's label and arc ends, building each
+    distinct arc once per arcs dict."""
+    for se in ends:
+        if se not in arcs:
+            arcs[se] = Arc(Fraction(se[0], g), Fraction(se[1], g), closed)
+    factors = tuple(arcs[se] for se in ends)
+    if family.kind == BOXES:
+        shape = Box(factors)
+    elif family.kind == CUBES:
+        shape = Cube(factors, label)
+    else:
+        shape = Stripe(label, factors[0], ps.dim)
+    return _checked(ps, subset, shape)
+
+
+def _oracle(ps: PointSet, family: Family, subset: Mask):
+    if subset < 0 or subset >> len(ps):
+        raise ValueError(f"mask {subset:#x} refers to out-of-range point indices")
+    g, closed, components = _family_tables(ps.denom, ps.cols, family)
+    found = _first_ends(components, (1 << len(ps)) - 1, subset)
+    return None if found is None else _shape(ps, family, g, closed, subset, *found, {})
+
+
+def realizable_by_box(ps: PointSet, subset: Mask):
+    """A box whose intersection with ps is exactly the subset, or None."""
+    return _oracle(ps, Family(BOXES), subset)
+
+
+def realizable_by_cube(ps: PointSet, subset: Mask):
+    """A cube whose intersection with ps is exactly the subset, or None."""
+    return _oracle(ps, Family(CUBES), subset)
+
+
+def realizable_by_stripe(ps: PointSet, subset: Mask, length: Rat):
+    """A stripe of exactly the given length realizing the subset, or None
+    (Family refuses a length outside (0,1))."""
+    return _oracle(ps, Family(STRIPES_FIXED, length), subset)
+
+
+def realizable_by_any_stripe(ps: PointSet, subset: Mask):
+    """A stripe of any length realizing the subset, or None."""
+    return _oracle(ps, Family(STRIPES_ANY), subset)
+
+
+def scan_stripe(ps: PointSet, subset: Mask, length: Rat):
+    """The first stripe of the given length realizing the subset with start
+    + length <= 1, or None, scanning every dimension then its table: the
+    first start is the least, so no later one wraps less."""
+    g, _, components = _family_tables(ps.denom, ps.cols, Family(STRIPES_FIXED, length))
+    for j, (first,) in components:
         if subset in first:
             s, e = first[subset]
-            if wrapping or s + width <= g:
+            if s < e or e == 0:
                 arc = Arc(Fraction(s, g), Fraction(e, g), closed=False)
                 return _checked(ps, subset, Stripe(j, arc, ps.dim))
     return None
 
 
-def realizable_by_stripe(ps: PointSet, subset: Mask, length: Rat):
-    """A stripe of exactly the given length realizing the subset, or None.
-
-    Scans, per dimension, open arcs of the given length with start on the
-    grid {t/(2 lcm(D, denom(length)))}; the containment pattern of such an
-    arc only changes when an endpoint crosses a point coordinate, and all
-    critical start values lie on that grid.
-    """
-    _check_mask(ps, subset)
-    if not (0 < length < 1):
-        raise ValueError("stripe length must lie in (0,1)")
-    return scan_stripe(ps, subset, length)
-
-
-def realizable_by_any_stripe(ps: PointSet, subset: Mask):
-    """A stripe of any length realizing the subset, or None.
-
-    Both endpoints are free, so the search runs over the quarter-grid.
-    """
-    _check_mask(ps, subset)
-    return scan_stripe(ps, subset)
-
-
-def family_oracle(family: Family):
-    """The realizability oracle of a family, as a (ps, mask) callable."""
-    if family.kind == BOXES:
-        return realizable_by_box
-    if family.kind == CUBES:
-        return realizable_by_cube
-    if family.kind == STRIPES_FIXED:
-        return lambda ps, m: realizable_by_stripe(ps, m, family.length)
-    return realizable_by_any_stripe
-
-
-def _intersections(per_dim) -> set:
-    """Every AND of one mask from each dimension's collection."""
-    per_dim = iter(per_dim)
-    out = set(next(per_dim))
-    for masks in per_dim:
-        out = {a & b for a in out for b in masks}
-    return out
-
-
-def realizable_masks(cols: tuple, denom: int, family: Family) -> set:
-    """The masks the family realizes on the points with integer view cols
-    (numerators over denom).  A box realizes the AND of one closed-arc trace
-    per dimension: nothing, or the run of value indices a..c (wrapping when
-    a > c); a cube such an AND over the arcs of one edge; a stripe one arc.
-    The tables are built afresh and left out of the oracles' caches."""
-    prefix = _prefix_table(cols)
-    if family.kind == BOXES:
-        return _intersections(
-            {0} | {below[c + 1] ^ below[a] ^ (below[-1] if a > c else 0)
-                   for a in range(len(values)) for c in range(len(values))}
-            for values, below in prefix
-        )
-    if family.kind == CUBES:
-        return set().union(*map(_intersections, _cube_table(denom, prefix)))
-    return set().union(*_stripe_table(denom, prefix, family.length)[2])
-
-
 def shatter_report(ps: PointSet, family: Family) -> ShatterReport:
     """Decide whether the family shatters ps, with per-mask witnesses.
 
-    Iterates the 2^n masks in ascending order, so the first missing mask
-    named in a negative report is deterministic.
+    The first missing mask named in a negative report is the smallest mask
+    the family does not realize; witnesses cover every mask below it.  The
+    masks below 2^(n - PROBE_SHIFT) are first tried one at a time, so a
+    small missing mask costs no full closure.
     """
     n = len(ps)
     if n > SHATTER_GUARD_N:
         raise GuardExceeded(f"shatter_report guard: n={n} > {SHATTER_GUARD_N}")
-    oracle = family_oracle(family)
-    witnesses = {}
-    for mask in range(1 << n):
-        shape = oracle(ps, mask)
-        if shape is None:
-            return ShatterReport(False, missing=mask, witnesses=witnesses)
-        witnesses[mask] = shape
-    return ShatterReport(True, witnesses=witnesses)
+    g, closed, components = _family_tables(ps.denom, ps.cols, family)
+    full = (1 << n) - 1
+    found = {}
+    for mask in range((full + 1) >> PROBE_SHIFT):
+        ends = _first_ends(components, full, mask)
+        if ends is None:
+            break
+        found[mask] = ends
+    else:
+        found = _all_ends(components, full)
+    missing = next((mask for mask in range(full + 1) if mask not in found), None)
+    arcs = {}
+    witnesses = {mask: _shape(ps, family, g, closed, mask, *found[mask], arcs)
+                 for mask in range(full + 1 if missing is None else missing)}
+    return ShatterReport(missing is None, missing, witnesses)
 
 
 def growth_count(ps: PointSet, family: Family) -> int:

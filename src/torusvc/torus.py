@@ -189,26 +189,3 @@ class PointSet:
         denom = lcm(1, *(x.denominator for p in pts for x in p))
         return PointSet(dim, denom, pts)
 
-
-def maximal_gaps(coords, period=ONE):
-    """Cyclic gaps between consecutive distinct values of a coordinate multiset.
-
-    Returns (gap_start, gap_end, gap_length) triples sorted by descending
-    length (ties by ascending start); the gap interval is open, so the
-    complement of any gap is a minimal closed arc enclosing all coords.  A
-    singleton value set yields the single gap (v, v) of length 1 (= period,
-    which lets integer grid positions in [0, period) be passed as well).
-    """
-    values = sorted(set(coords))
-    if not values:
-        raise ValueError("maximal_gaps needs at least one coordinate")
-    if len(values) == 1:
-        v = values[0]
-        return [(v, v, period)]
-    gaps = []
-    for i, v in enumerate(values):
-        nxt = values[(i + 1) % len(values)]
-        length = nxt - v if nxt > v else period - v + nxt
-        gaps.append((v, nxt, length))
-    gaps.sort(key=lambda g: (-g[2], g[0]))
-    return gaps

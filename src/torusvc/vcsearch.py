@@ -239,14 +239,21 @@ def _shattered(cfg: ConfigCode, family: Family) -> bool:
 
 def shattered_frontiers(d: int, family: Family, n_max: int) -> list:
     """[F_1, F_2, ...]: the sorted frontiers of shattered classes of the
-    boxes or any-length stripes, up to n_max or the last nonempty one."""
+    boxes or any-length stripes, up to n_max or the last nonempty one.
+    Extensions holding the same points in another order share a verdict,
+    so each point multiset is scored once per n."""
     if family.kind not in (BOXES, STRIPES_ANY):
         raise ValueError(f"order type does not decide the verdict of {family.kind}")
     frontiers = []
     frontier = None
     for n in range(1, n_max + 1):
-        found = {canonical_class(cfg.levels)
-                 for cfg in enumerate_configs(d, n, frontier) if _shattered(cfg, family)}
+        scored, found = set(), set()
+        for cfg in enumerate_configs(d, n, frontier):
+            points = tuple(sorted(zip(*cfg.levels)))
+            if points not in scored:
+                scored.add(points)
+                if _shattered(cfg, family):
+                    found.add(canonical_class(cfg.levels))
         if not found:
             break
         frontier = sorted(found)

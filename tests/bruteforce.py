@@ -71,8 +71,8 @@ def brute_cube_masks(ps):
     return out
 
 
-def fine_growth(ps, kind, length=None):
-    """Number of subsets realizable by a family, with arcs on the 1/(12D) grid.
+def fine_masks(ps, kind, length=None):
+    """The subsets a family realizes, with arcs on the 1/(12D) grid.
 
     kind is one of "boxes", "cubes", "stripes" (fixed length) and
     "stripes-any".
@@ -82,26 +82,29 @@ def fine_growth(ps, kind, length=None):
     if kind == "boxes":
         def closed_arcs(j):
             return {_coverage(ps, j, Arc(s, e)) for s in grid for e in grid if s != e}
-        return len(_intersect_dims(ps, closed_arcs))
+        return _intersect_dims(ps, closed_arcs)
     if kind == "cubes":
         out = set()
         for edge in grid[1:]:
             def edge_arcs(j):
                 return {_coverage(ps, j, Arc(s, (s + edge) % 1)) for s in grid}
             out |= _intersect_dims(ps, edge_arcs)
-        return len(out)
+        return out
     if kind == "stripes":
         gl = 12 * lcm(ps.denom, length.denominator)
-        return len({
+        return {
             _coverage(ps, j, Arc(Fraction(t, gl), (Fraction(t, gl) + length) % 1, closed=False))
             for j in range(ps.dim) for t in range(gl)
-        })
+        }
     if kind == "stripes-any":
-        return len({
-            _coverage(ps, j, Arc(s, e, closed=False))
-            for j in range(ps.dim) for s in grid for e in grid if s != e
-        })
+        arcs = [Arc(s, e, closed=False) for s in grid for e in grid if s != e]
+        return {_coverage(ps, j, arc) for j in range(ps.dim) for arc in arcs}
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def fine_growth(ps, kind, length=None):
+    """Number of subsets realizable by a family, with arcs on the 1/(12D) grid."""
+    return len(fine_masks(ps, kind, length))
 
 
 def random_point_set(rng, n, d, denom):

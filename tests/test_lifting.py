@@ -14,7 +14,7 @@ from torusvc.lifting import (
     sample_masks,
     verify_lift,
 )
-from torusvc.shatter import covered_mask, realizable_by_cube
+from torusvc.shatter import covered_mask, realizable_by_cube, scan_stripe
 from torusvc.stripes import build_stripe_shattered_set
 from torusvc.torus import PointSet, arc_complement, arc_contains
 
@@ -207,6 +207,17 @@ def test_base_stripe_runs_once_per_base_subset(make, monkeypatch):
     for _ in range(2):
         verify_lift(inst, "exhaustive")
     assert len(calls) == len(set(calls)) <= 1 << len(inst.base)
+
+
+def test_base_stripe_scan_reads_every_dimension():
+    # mask 1 is first held in dimension 0 by the wrapping arc (3/4, 1/4);
+    # the non-wrapping stripe (1/4, 3/4) lies in dimension 1
+    base = PointSet(2, 2, ((F(0), F(1, 2)),))
+    stripe = scan_stripe(base, 0b1, F(1, 2))
+    assert (stripe.anchor_dim, stripe.arc.start, stripe.arc.end) == (1, F(1, 4), F(3, 4))
+    inst = lift_points(base, SymbolMatrix(((0, 1),), 2), F(1, 2))
+    report = verify_lift(inst, "exhaustive")
+    assert (report.checked, report.failures) == (2, [])
 
 
 def test_reference_lift_shares_no_code_with_what_it_checks():

@@ -9,9 +9,16 @@ import pytest
 
 import torusvc
 from torusvc import shatter, vcsearch
-from bruteforce import brute_box_masks, brute_cube_masks, fine_growth, seeded_point_sets
+from bruteforce import (
+    brute_box_masks,
+    brute_cube_masks,
+    fine_growth,
+    fine_masks,
+    random_point_set,
+    seeded_point_sets,
+)
 from torusvc.errors import GuardExceeded, PostconditionError
-from torusvc.extraction import SymbolMatrix
+from torusvc.extraction import SymbolMatrix, sample_extraction_matrix
 from torusvc.lifting import lift_points
 from torusvc.shatter import (
     BOXES,
@@ -21,7 +28,6 @@ from torusvc.shatter import (
     Family,
     ShatterReport,
     covered_mask,
-    family_oracle,
     growth_count,
     realizable_by_any_stripe,
     realizable_by_box,
@@ -217,6 +223,17 @@ def test_growth_matches_finer_grid_brute_force(seed):
             assert growth_count(ps, family) == expected, (ps, kind, family.length)
 
 
+def brute_masks(ps, family):
+    """The masks the family realizes on ps, by the brute-force enumerations."""
+    if family.kind == BOXES:
+        return brute_box_masks(ps)
+    if family.kind == CUBES:
+        return brute_cube_masks(ps)
+    if family.kind == STRIPES_ANY:
+        return fine_masks(ps, "stripes-any")
+    return fine_masks(ps, "stripes", family.length)
+
+
 @pytest.mark.parametrize("family", [
     Family(BOXES),
     Family(CUBES),
@@ -225,21 +242,63 @@ def test_growth_matches_finer_grid_brute_force(seed):
     Family(STRIPES_FIXED, F(2, 5)),
 ], ids=["boxes", "cubes", "stripes-any", "stripes-1/3", "stripes-2/5"])
 def test_realizable_masks_match_the_oracles(family):
-    # the per-mask oracles stay the reference for the closure growth counts use
+    # the per-mask oracles read the same closure, so the brute-force oracles
+    # are the reference: quarter-grid enumeration for boxes and cubes, the
+    # finer 1/(12D) grid for stripes
     small = [
         PointSet(2, 3, ()),
         PointSet(1, 1, ((F(0),),)),
         PointSet(2, 5, ((F(2, 5), F(0)),)),
     ]
-    oracle = family_oracle(family)
     for ps in small + seeded_point_sets(47, 30, 5, 3, 6):
-        expected = {mask for mask in range(1 << len(ps)) if oracle(ps, mask) is not None}
+        expected = brute_masks(ps, family)
         assert realizable_masks(ps.cols, ps.denom, family) == expected, (ps, family)
 
 
 def witness_digest(witnesses):
     text = "\n".join(f"{mask}:{shape!r}" for mask, shape in sorted(witnesses.items()))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family", [
+    Family(BOXES),
+    Family(CUBES),
+    Family(STRIPES_ANY),
+    Family(STRIPES_FIXED, F(2, 5)),
+], ids=["boxes", "cubes", "stripes-any", "stripes-2/5"])
+def test_one_mask_search_finds_the_witness_of_the_closure(family):
+    # the oracles and the first masks of shatter_report search one mask at
+    # a time; they must name the (closure, trace) choice the closure keeps
+    for ps in seeded_point_sets(53, 30, 6, 3, 7):
+        _, _, components = shatter._family_tables(ps.denom, ps.cols, family)
+        full = (1 << len(ps)) - 1
+        closure = shatter._all_ends(components, full)
+        for mask in range(full + 1):
+            assert shatter._first_ends(components, full, mask) == closure.get(mask), (ps, mask)
+
+
+def test_one_mask_search_recurses_only_on_a_cut():
+    # 1,199 dimensions that cut nothing must not deepen the search
+    d = 1200
+    ps = PointSet(d, 4, tuple((F(i, 4),) + (F(0),) * (d - 1) for i in range(4)))
+    assert realizable_by_box(ps, 0b0101) is None
+    assert realizable_by_cube(ps, 0b0101) is None
+    assert covered_mask(ps, realizable_by_cube(ps, 0b0011)) == 0b0011
+
+
+@pytest.mark.parametrize("n, d, kind", [(25, 3, BOXES), (20, 4, CUBES)])
+def test_a_small_missing_mask_builds_no_closure(n, d, kind, monkeypatch):
+    ps = random_point_set(random.Random(1), n, d, 50)
+
+    def closure(tables, full):
+        raise AssertionError("shatter_report built a full closure")
+
+    monkeypatch.setattr(shatter, "_closure", closure)
+    report = shatter_report(ps, Family(kind))
+    assert not report.shattered and report.missing == 7
+    assert sorted(report.witnesses) == list(range(7))
+    oracle = realizable_by_box if kind == BOXES else realizable_by_cube
+    assert oracle(ps, 7) is None
 
 
 def test_construction_witnesses_keep_their_shapes():
@@ -255,6 +314,20 @@ def test_construction_witnesses_keep_their_shapes():
     stripes = shatter_report(build_stripe_shattered_set(6, F(1, 2)), Family(STRIPES_FIXED, F(1, 2)))
     assert witness_digest(stripes.witnesses) == (
         "5cdda971b442bab620ad8e9d39a43b1a87f2a500a5dfd0b867db642c1198bab1"
+    )
+
+
+def test_cube_witnesses_of_the_twelve_point_lift_keep_their_shapes():
+    # extract-sample --m 3 --k 2 --q 4/3 --seed 1, stripes-build --n 1
+    # --l 1/2, then lift: 12 points in T^8 over D = 42; the digest is that
+    # of the per-edge search the closure replaced
+    matrix, _ = sample_extraction_matrix(3, 2, F(4, 3), 1000, 1)
+    lifted = lift_points(build_stripe_shattered_set(1, F(1, 2)), matrix, F(1, 2)).lifted
+    assert (len(lifted), lifted.dim, lifted.denom) == (12, 8, 42)
+    report = shatter_report(lifted, Family(CUBES))
+    assert report.shattered and len(report.witnesses) == 1 << 12
+    assert witness_digest(report.witnesses) == (
+        "760cd7efd16c7b1281138e0cb7a18f1fa7e62e02a2e9163817e708eebdfbe47f"
     )
 
 

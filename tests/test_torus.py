@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from torusvc.torus import (
-    ONE,
     Arc,
     Box,
     Cube,
@@ -15,7 +14,6 @@ from torusvc.torus import (
     arc_contains,
     arc_length,
     box_contains,
-    maximal_gaps,
     shape_contains,
 )
 
@@ -149,21 +147,6 @@ def test_stripe_validation():
         Stripe(3, arc, 3)
     with pytest.raises(ValueError):
         Stripe(0, Arc(F(0), F(1, 2)), 3)
-
-
-def test_maximal_gaps_equally_spaced():
-    gaps = maximal_gaps([F(0), F(1, 3), F(2, 3)])
-    assert [g[2] for g in gaps] == [F(1, 3)] * 3
-
-
-def test_maximal_gaps_two_values():
-    gaps = maximal_gaps([F(0), F(1, 4)])
-    assert gaps[0] == (F(1, 4), F(0), F(3, 4))
-    assert gaps[1] == (F(0), F(1, 4), F(1, 4))
-
-
-def test_maximal_gaps_singleton():
-    assert maximal_gaps([F(1, 2)]) == [(F(1, 2), F(1, 2), ONE)]
 
 
 def test_point_set_validation():

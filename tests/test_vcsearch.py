@@ -219,6 +219,22 @@ def test_vc_exact_scores_a_fifth_of_the_old_enumeration(monkeypatch):
     assert 0 < scored <= 14918 // 5
 
 
+def test_frontiers_score_each_point_multiset_once_per_n(monkeypatch):
+    scored = []
+    shattered = vcsearch._shattered
+
+    def recorded(cfg, family):
+        scored.append((cfg.n, tuple(sorted(zip(*cfg.levels)))))
+        return shattered(cfg, family)
+
+    monkeypatch.setattr(vcsearch, "_shattered", recorded)
+    frontiers = shattered_frontiers(2, Family(BOXES), 7)
+    assert [len(f) for f in frontiers] == [1, 2, 3, 6, 8, 6]  # and F_7 is empty
+    assert len(set(scored)) == len(scored)
+    per_n = [sum(1 for m, _ in scored if m == n) for n in range(1, 8)]
+    assert per_n == [1, 3, 12, 42, 182, 502, 636]
+
+
 def test_distance_dependent_families_need_a_witness_at_the_superfamily_value():
     value, ps, witnesses = vc_exact(1, Family(CUBES), 4)
     assert value == 3 and len(witnesses) == 8
@@ -256,16 +272,17 @@ def test_scoring_configurations_keeps_the_oracles_cached_tables():
     ps = PointSet(2, 5, ((F(0), F(1, 5)), (F(2, 5), F(4, 5)), (F(3, 5), F(0))))
     realizable_by_box(ps, 0b101)
     realizable_by_cube(ps, 0b011)
-    before = shatter._prefix_masks.cache_info().misses, shatter._cube_arcs.cache_info().misses
+    caches = (shatter._prefix_masks, shatter._family_tables)
+    before = [cache.cache_info().misses for cache in caches]
     assert vc_exact(2, Family(BOXES), 5)[0] == 5
     assert vc_exact(1, Family(CUBES), 4)[0] == 3
     assert search_shattered(2, 4, 300, 0) is not None
     # the scoring builds its tables afresh: only the three re-checks by
-    # shatter_report (two prefix tables, one cube table) went through the caches
-    after = shatter._prefix_masks.cache_info().misses, shatter._cube_arcs.cache_info().misses
-    assert after[0] - before[0] <= 3 and after[1] - before[1] <= 1
-    hits = shatter._prefix_masks.cache_info().hits, shatter._cube_arcs.cache_info().hits
+    # shatter_report (a prefix table and a family's tables each) went through the caches
+    after = [cache.cache_info().misses for cache in caches]
+    assert after[0] - before[0] <= 3 and after[1] - before[1] <= 3
+    hits = [cache.cache_info().hits for cache in caches]
     shatter._prefix_masks(ps.cols)
-    shatter._cube_arcs(ps.denom, ps.cols)
-    assert (shatter._prefix_masks.cache_info().hits, shatter._cube_arcs.cache_info().hits) == (
-        hits[0] + 1, hits[1] + 1)
+    shatter._family_tables(ps.denom, ps.cols, Family(BOXES))
+    shatter._family_tables(ps.denom, ps.cols, Family(CUBES))
+    assert [cache.cache_info().hits for cache in caches] == [hits[0] + 1, hits[1] + 2]
