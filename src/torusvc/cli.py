@@ -14,7 +14,6 @@ from .bounds import bounds_table
 from .errors import GuardExceeded, NotCertified, VCBracket
 from .extraction import check_extraction, sample_extraction_matrix
 from .fileio import (
-    ParseError,
     parse_rat,
     read_certificate,
     read_matrix,
@@ -311,19 +310,11 @@ def run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except GuardExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (NotCertified, ValueError) as exc:
+    except (_UsageError, FileNotFoundError, NotCertified, ValueError) as exc:
+        # ValueError covers fileio.ParseError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -38,10 +38,17 @@ def _read_ints(path, lineno, line, count, what):
         raise ParseError(path, lineno, f"non-integer {what}") from None
 
 
+def _check_end(path, lines, rows, what):
+    """Refuse a non-blank line after the header's declared rows."""
+    for lineno, line in enumerate(lines[rows + 1:], start=rows + 2):
+        if line.strip():
+            raise ParseError(path, lineno, f"expected {rows} {what}, got more")
+
+
 def write_points(ps: PointSet, path: str) -> None:
     lines = [f"{ps.dim} {len(ps)} {ps.denom}"]
-    for p in ps.points:
-        lines.append(" ".join(str(int(x * ps.denom)) for x in p))
+    for p in zip(*ps.cols):
+        lines.append(" ".join(str(t) for t in p))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -63,6 +70,7 @@ def read_points(path: str) -> PointSet:
             if not 0 <= t < denom:
                 raise ParseError(path, r + 2, f"coordinate {t} outside [0,{denom})")
         points.append(tuple(Fraction(t, denom) for t in ts))
+    _check_end(path, lines, n, "point lines")
     return PointSet(d, denom, tuple(points))
 
 
@@ -91,6 +99,7 @@ def read_matrix(path: str) -> SymbolMatrix:
             if not 0 <= v < k:
                 raise ParseError(path, r + 2, f"entry {v} outside [0,{k})")
         rows.append(tuple(vals))
+    _check_end(path, lines, c, "matrix rows")
     return SymbolMatrix(tuple(rows), k)
 
 

@@ -32,7 +32,7 @@ lies.
 
 Coverage is integer arithmetic on PointSet.cols (numerators over D): _cover
 rounds an arc's grid endpoints (Arc.grid) onto the point grid and XORs two
-prefix masks.
+prefix masks of PointSet.prefix, which each point set builds once.
 """
 
 from bisect import bisect_left
@@ -50,6 +50,7 @@ from .torus import (
     Rat,
     Stripe,
     arc_contains,  # noqa: F401  (a binding site bench/test_bench.py checks)
+    prefix_table,
 )
 
 Mask = int
@@ -89,26 +90,6 @@ class ShatterReport:
     witnesses: dict = field(default_factory=dict)
 
 
-def _prefix_table(cols: tuple) -> tuple:
-    """Per dimension, the sorted distinct numerators and the prefix masks
-    below[k] of the points with numerator < values[k] (below[-1]: all)."""
-    tables = []
-    for col in cols:
-        groups = {}
-        for i, x in enumerate(col):
-            groups[x] = groups.get(x, 0) | 1 << i
-        values = sorted(groups)
-        below = [0]
-        for v in values:
-            below.append(below[-1] | groups[v])
-        tables.append((values, below))
-    return tuple(tables)
-
-
-# realizable_masks builds its tables afresh: one-off point sets evict none of these
-_prefix_masks = lru_cache(maxsize=TABLE_CACHE_SIZE)(_prefix_table)
-
-
 def _cover(table, s: int, e: int, m: int, closed: bool) -> Mask:
     """Mask of the points in the arc from s/(mD) to e/(mD), wrapping when s > e
     (an open arc with s == e is the circle minus one value)."""
@@ -129,11 +110,10 @@ def covered_mask(ps: PointSet, shape) -> Mask:
         dim, factors = shape.dim, enumerate(shape.arcs)
     if dim != ps.dim:
         raise ValueError(f"point dimension {ps.dim} != shape dimension {dim}")
-    tables = _prefix_masks(ps.cols)
     m = (1 << len(ps)) - 1
     for j, arc in factors:
         s, e, _, q = arc.grid
-        m &= _cover(tables[j], s * ps.denom, e * ps.denom, q, arc.closed)
+        m &= _cover(ps.prefix[j], s * ps.denom, e * ps.denom, q, arc.closed)
     return m
 
 
@@ -216,9 +196,14 @@ def realizable_masks(cols: tuple, denom: int, family: Family) -> set:
     (numerators over denom): the keys of the last level of each closure,
     united until all 2^n are present.  The tables are built afresh and
     left out of the oracles' caches."""
-    full = (1 << len(cols[0])) - 1
+    return _realized(prefix_table(cols), denom, family)
+
+
+def _realized(prefix: tuple, denom: int, family: Family) -> set:
+    """realizable_masks from a built prefix table."""
+    full = prefix[0][1][-1]
     masks = set()
-    for _, tables in _components(denom, _prefix_table(cols), family)[2]:
+    for _, tables in _components(denom, prefix, family)[2]:
         masks.update(_closure(tables, full)[-1])
         if len(masks) > full:
             break
@@ -228,7 +213,7 @@ def realizable_masks(cols: tuple, denom: int, family: Family) -> set:
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _family_tables(denom: int, cols: tuple, family: Family) -> tuple:
     """The oracles' cached _components of a point set, every table built."""
-    g, closed, components = _components(denom, _prefix_masks(cols), family)
+    g, closed, components = _components(denom, prefix_table(cols), family)
     return g, closed, tuple(components)
 
 
@@ -395,4 +380,4 @@ def growth_count(ps: PointSet, family: Family) -> int:
     n = len(ps)
     if n > GROWTH_GUARD_N:
         raise GuardExceeded(f"growth_count guard: n={n} > {GROWTH_GUARD_N}")
-    return len(realizable_masks(ps.cols, ps.denom, family))
+    return len(_realized(ps.prefix, ps.denom, family))

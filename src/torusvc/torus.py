@@ -149,6 +149,22 @@ def shape_contains(shape, p) -> bool:
     return box_contains(shape, p)
 
 
+def prefix_table(cols: tuple) -> tuple:
+    """Per dimension, the sorted distinct numerators and the prefix masks
+    below[k] of the points with numerator < values[k] (below[-1]: all)."""
+    tables = []
+    for col in cols:
+        groups = {}
+        for i, x in enumerate(col):
+            groups[x] = groups.get(x, 0) | 1 << i
+        values = sorted(groups)
+        below = [0]
+        for v in values:
+            below.append(below[-1] | groups[v])
+        tables.append((values, below))
+    return tuple(tables)
+
+
 @dataclass(frozen=True)
 class PointSet:
     """A finite configuration on the d-torus, all coordinates on a 1/D grid."""
@@ -158,6 +174,8 @@ class PointSet:
     points: tuple
     # integer view: cols[j][i] is D times point i's coordinate in dimension j
     cols: tuple = field(init=False, repr=False, compare=False)
+    # prefix_table(cols), which coverage reads
+    prefix: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -175,6 +193,7 @@ class PointSet:
                     raise ValueError(f"coordinate {x} not on the 1/{self.denom} grid")
                 col.append(scaled.numerator)
         object.__setattr__(self, "cols", tuple(map(tuple, cols)))
+        object.__setattr__(self, "prefix", prefix_table(self.cols))
 
     def __len__(self) -> int:
         return len(self.points)

@@ -4,14 +4,14 @@ Configurations are encoded combinatorially: per dimension, an assignment of
 points to levels (a weak cyclic order; ties allowed), realized at
 coordinates level/n.  For boxes and for stripes of any length the verdict
 depends only on these weak cyclic orders, because an arc's trace in one
-dimension is a cyclic run of tied groups.  enumerate_configs(d, n) streams
-every weak cyclic order, at least one representative per class under
-global point relabeling, per-dimension rotation and reflection.  Levels are
-the integer view of the realized point set over the denominator n, so every
-verdict counts shatter.realizable_masks on them.
+dimension is a cyclic run of tied groups.  Levels are the integer view of
+the realized point set over the denominator n, so every verdict counts
+shatter.realizable_masks on them.
 
-vc_exact does not walk that enumeration; it grows the frontier F_n of
-shattered classes, a class being the canonical_class of a configuration.
+vc_exact grows the frontier F_n of shattered classes, a class being the
+canonical_class of a configuration, from F_1, the single one-point class:
+enumerate_configs(d, n, F_(n-1)) streams the one-point extensions of
+F_(n-1), and the shattered ones make up F_n.
 
 Lemma (augmentation).  For boxes and for stripes of any length, F_n is the
 set of classes of the shattered one-point extensions of the members of
@@ -79,80 +79,25 @@ class ConfigCode:
         return PointSet(self.d, n, points)
 
 
-def cyclic_compositions(n: int):
-    """Compositions of n, one representative per rotation+reflection class."""
-    seen = set()
-    out = []
-
-    def gen(prefix, rest):
-        if rest == 0:
-            canon = _bracelet_canon(tuple(prefix))
-            if canon not in seen:
-                seen.add(canon)
-                out.append(canon)
-            return
-        for part in range(1, rest + 1):
-            prefix.append(part)
-            gen(prefix, rest - part)
-            prefix.pop()
-
-    gen([], n)
-    out.sort()
-    return out
+def _check_size(d: int, n: int) -> None:
+    """The guards of enumerate_configs; shattered_frontiers also runs them
+    before it seeds F_1, which no enumeration builds."""
+    if d > ENUM_GUARD_D:
+        raise GuardExceeded(f"enumerate_configs guard: d={d} > {ENUM_GUARD_D}")
+    if n > ENUM_GUARD_N:
+        raise GuardExceeded(f"enumerate_configs guard: n={n} > {ENUM_GUARD_N}")
+    if d < 1 or n < 1:
+        raise ValueError("d and n must be positive")
 
 
-def _bracelet_canon(comp):
-    b = len(comp)
-    variants = []
-    for seq in (comp, comp[::-1]):
-        for r in range(b):
-            variants.append(seq[r:] + seq[:r])
-    return min(variants)
-
-
-def _levels_from_blocks(blocks, n: int):
-    levels = [0] * n
-    for lv, block in enumerate(blocks):
-        for p in block:
-            levels[p] = lv
-    return tuple(levels)
-
-
-def _ordered_partitions(rest):
-    """All ordered set partitions of a list of points."""
-    if not rest:
-        yield []
-        return
-    # choose the first block among all nonempty subsets of the points
-    for pick in range(1, 1 << len(rest)):
-        block = [rest[t] for t in range(len(rest)) if pick >> t & 1]
-        remaining = [rest[t] for t in range(len(rest)) if not pick >> t & 1]
-        for tail in _ordered_partitions(remaining):
-            yield [block] + tail
-
-
-def _dim2_assignments(n: int):
-    """Weak cyclic orders of n points, rotation- and reflection-reduced.
-
-    Rotation is fixed by putting point 0's block first; reflection reverses
-    the remaining block order, and only the lexicographically smaller of
-    the two encodings is emitted.
-    """
-    for pick in range(1 << (n - 1)):
-        block0 = [0] + [p + 1 for p in range(n - 1) if pick >> p & 1]
-        rest = [p + 1 for p in range(n - 1) if not pick >> p & 1]
-        for tail in _ordered_partitions(rest):
-            blocks = [block0] + tail
-            code = tuple(tuple(sorted(b)) for b in blocks)
-            mirrored = (code[0],) + tuple(reversed(code[1:]))
-            if code <= mirrored:
-                yield _levels_from_blocks(blocks, n)
-
-
-def _extensions(d: int, n: int, frontier):
-    """The one-point extensions of each (n-1)-point class in the frontier:
-    per dimension the new point ties one of the b levels or enters one of
-    the b cyclic gaps; a new point that duplicates an old one is skipped."""
+def enumerate_configs(d: int, n: int, frontier):
+    """Stream the n-point configurations to score: the one-point extensions
+    of each (n-1)-point class in the frontier, which by the module's lemma
+    contain a member of every shattered n-point class when the frontier is
+    complete.  Per dimension the new point ties one of the b levels or
+    enters one of the b cyclic gaps; a new point that duplicates an old one
+    is skipped."""
+    _check_size(d, n)
     for cls in frontier:
         if len(cls) != n - 1 or any(len(p) != d for p in cls):
             raise ValueError(f"frontier class {cls} is not {n - 1} points in dimension {d}")
@@ -165,43 +110,6 @@ def _extensions(d: int, n: int, frontier):
             # t is None in a gap, where no old point can sit
             if tuple(t for _, t in choice) not in cls:
                 yield ConfigCode(d, n, tuple(levels for levels, _ in choice))
-
-
-def enumerate_configs(d: int, n: int, frontier=None):
-    """Stream the n-point configurations to score.
-
-    Without a frontier: one ConfigCode or more per class of all weak cyclic
-    orders, identifying only configurations related by global point
-    relabeling, per-dimension rotation/reflection, and dimension
-    permutation, all of which preserve the verdict of boxes and of stripes
-    of any length.  With the complete frontier of shattered (n-1)-point
-    classes: their one-point extensions, which by the module's lemma
-    contain a member of every shattered n-point class.
-    """
-    if d > ENUM_GUARD_D:
-        raise GuardExceeded(f"enumerate_configs guard: d={d} > {ENUM_GUARD_D}")
-    if n > ENUM_GUARD_N:
-        raise GuardExceeded(f"enumerate_configs guard: n={n} > {ENUM_GUARD_N}")
-    if d < 1 or n < 1:
-        raise ValueError("d and n must be positive")
-    if frontier is not None:
-        yield from _extensions(d, n, frontier)
-        return
-    dim1_classes = []
-    for comp in cyclic_compositions(n):
-        blocks = []
-        at = 0
-        for size in comp:
-            blocks.append(list(range(at, at + size)))
-            at += size
-        dim1_classes.append(_levels_from_blocks(blocks, n))
-    if d == 1:
-        for lv in dim1_classes:
-            yield ConfigCode(1, n, (lv,))
-        return
-    for lv1 in dim1_classes:
-        for lv2 in _dim2_assignments(n):
-            yield ConfigCode(2, n, (lv1, lv2))
 
 
 def canonical_class(levels) -> tuple:
@@ -244,11 +152,13 @@ def shattered_frontiers(d: int, family: Family, n_max: int) -> list:
     so each point multiset is scored once per n."""
     if family.kind not in (BOXES, STRIPES_ANY):
         raise ValueError(f"order type does not decide the verdict of {family.kind}")
-    frontiers = []
-    frontier = None
-    for n in range(1, n_max + 1):
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    _check_size(d, 1)
+    frontiers = [[((0,) * d,)]]  # F_1: one point, at the origin in every dimension
+    for n in range(2, n_max + 1):
         scored, found = set(), set()
-        for cfg in enumerate_configs(d, n, frontier):
+        for cfg in enumerate_configs(d, n, frontiers[-1]):
             points = tuple(sorted(zip(*cfg.levels)))
             if points not in scored:
                 scored.add(points)
@@ -256,8 +166,7 @@ def shattered_frontiers(d: int, family: Family, n_max: int) -> list:
                     found.add(canonical_class(cfg.levels))
         if not found:
             break
-        frontier = sorted(found)
-        frontiers.append(frontier)
+        frontiers.append(sorted(found))
     return frontiers
 
 
@@ -281,8 +190,6 @@ def vc_exact(d: int, family: Family, n_max: int):
     L < U points, raises VCBracket(L, U) instead.  Every witness is
     re-checked by shatter_report.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
     superfamily = Family(SUPERFAMILY.get(family.kind, family.kind))
     frontiers = shattered_frontiers(d, superfamily, n_max)
     upper = len(frontiers)

@@ -95,6 +95,10 @@ def test_growth(tmp_path):
     code, out, _ = cli("growth", pts, "--family", "boxes")
     assert code == 0
     assert out.strip() == "8"
+    extra = tmp_path / "extra.txt"
+    extra.write_text("1 2 4\n0\n1\n3\n")  # three points under a header of two
+    assert cli("growth", str(extra), "--family", "boxes") == (
+        2, "", f"error: {extra}:4: expected 2 point lines, got more\n")
 
 
 def test_stripes_build_then_shatter(tmp_path):
@@ -200,6 +204,11 @@ def test_vc_exact_cli():
     code, out, _ = cli("vc-exact", "--d", "1", "--family", "boxes")
     assert code == 0
     assert out.strip() == "3"
+    # the seeded one-point frontier passes the size checks first
+    assert cli("vc-exact", "--d", "3", "--family", "boxes", "--n-max", "1") == (
+        3, "", "refused: enumerate_configs guard: d=3 > 2\n")
+    assert cli("vc-exact", "--d", "0", "--family", "boxes", "--n-max", "1") == (
+        2, "", "error: d and n must be positive\n")
 
 
 def test_vc_exact_values_in_the_plane():

@@ -49,6 +49,13 @@ def test_points_parse_errors(tmp_path):
     path.write_text("2 2 6\n1 2\n")
     with pytest.raises(ParseError):
         read_points(path)
+    # a line past the header's count is refused at its own line
+    path.write_text("1 2 4\n0\n1\n3\n")
+    with pytest.raises(ParseError) as err:
+        read_points(path)
+    assert str(err.value) == f"{path}:4: expected 2 point lines, got more"
+    path.write_text("1 2 4\n0\n1\n\n  \n")
+    assert len(read_points(path)) == 2  # blank trailing lines are accepted
 
 
 def test_matrix_roundtrip(tmp_path):
@@ -64,6 +71,12 @@ def test_matrix_parse_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         read_matrix(path)
     assert ":3:" in str(err.value)
+    path.write_text("1 2 2\n0 1\n\n1 0\n")
+    with pytest.raises(ParseError) as err:
+        read_matrix(path)
+    assert str(err.value) == f"{path}:4: expected 1 matrix rows, got more"
+    path.write_text("1 2 2\n0 1\n\n")
+    assert read_matrix(path).rows == ((0, 1),)
 
 
 def test_certificate_roundtrip_box(tmp_path):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 import reference_canonical
+import reference_enumeration
 from bruteforce import fine_growth
 
 from torusvc import shatter, vcsearch
@@ -23,11 +24,11 @@ from torusvc.shatter import (
     shatter_report,
 )
 from torusvc.torus import PointSet
+from reference_enumeration import _dim2_assignments, cyclic_compositions, enumerate_levels
+
 from torusvc.vcsearch import (
     ConfigCode,
-    _dim2_assignments,
     canonical_class,
-    cyclic_compositions,
     enumerate_configs,
     search_shattered,
     shattered_frontiers,
@@ -89,7 +90,7 @@ def test_enumeration_complete_dim1():
             boxes_shatter((lv,), n)
             for lv in itertools.product(range(n), repeat=n)
         }
-        enum = {boxes_shatter(c.levels, n) for c in enumerate_configs(1, n)}
+        enum = {boxes_shatter(levels, n) for levels in enumerate_levels(1, n)}
         assert raw == enum
 
 
@@ -100,7 +101,7 @@ def test_enumeration_complete_dim2():
         for lv1 in itertools.product(range(n), repeat=n):
             for lv2 in itertools.product(range(n), repeat=n):
                 raw.add(len(box_masks((lv1, lv2), n)))
-        enum = {len(box_masks(c.levels, n)) for c in enumerate_configs(2, n)}
+        enum = {len(box_masks(levels, n)) for levels in enumerate_levels(2, n)}
         assert raw == enum
 
 
@@ -115,7 +116,7 @@ def test_dim2_assignments_reach_every_weak_cyclic_order():
             dense = [rank[v] for v in raw]
             images = {tuple((s * x + r) % b for x in dense) for s in (1, -1) for r in range(b)}
             assert images & emitted, (n, raw)
-    assert [sum(1 for _ in enumerate_configs(2, n)) for n in range(1, 6)] == [1, 4, 15, 85, 581]
+    assert [sum(1 for _ in enumerate_levels(2, n)) for n in range(1, 6)] == [1, 4, 15, 85, 581]
 
 
 @pytest.mark.parametrize("d, kind, n_top", [(1, BOXES, 5), (1, STRIPES_ANY, 5),
@@ -125,8 +126,8 @@ def test_augmentation_frontier_matches_the_complete_enumeration(d, kind, n_top):
     frontiers = shattered_frontiers(d, family, n_top)
     for n in range(1, n_top + 1):
         complete = sorted({
-            canonical_class(cfg.levels) for cfg in enumerate_configs(d, n)
-            if len(realizable_masks(cfg.levels, n, family)) == 1 << n
+            canonical_class(levels) for levels in enumerate_levels(d, n)
+            if len(realizable_masks(levels, n, family)) == 1 << n
         })
         assert (frontiers[n - 1] if n <= len(frontiers) else []) == complete
 
@@ -159,20 +160,30 @@ def test_anchored_canonical_class_matches_the_unanchored_minimum():
         assert canonical_class(levels) == reference_canonical.canonical_class(levels), levels
 
 
-def test_reference_canonical_class_imports_nothing_from_the_package():
-    tree = ast.parse((Path(__file__).parent / "reference_canonical.py").read_text())
+@pytest.mark.parametrize("reference", ["reference_canonical.py", "reference_scanners.py",
+                                       "reference_enumeration.py"])
+def test_references_import_nothing_from_the_package(reference):
+    tree = ast.parse((Path(__file__).parent / reference).read_text())
+    assert tree.body
     names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
-    names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert names and not any(name.startswith("torusvc") for name in names)
+    names += [node.module or "." for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not any(name.startswith(("torusvc", ".")) for name in names)
 
 
 def test_enumeration_guards():
     with pytest.raises(GuardExceeded):
-        list(enumerate_configs(3, 2))
+        list(enumerate_configs(3, 2, [((0, 0, 0),)]))
     with pytest.raises(GuardExceeded):
-        list(enumerate_configs(1, 9))
+        list(enumerate_configs(1, 9, [((0,),) * 8]))
     with pytest.raises(ValueError):
-        list(enumerate_configs(1, 0))
+        list(enumerate_configs(1, 0, []))
+    # the seeded one-point frontier passes the same checks
+    with pytest.raises(GuardExceeded):
+        shattered_frontiers(3, Family(BOXES), 1)
+    with pytest.raises(ValueError, match="d and n must be positive"):
+        shattered_frontiers(0, Family(BOXES), 1)
+    with pytest.raises(ValueError, match="n_max must be positive"):
+        shattered_frontiers(1, Family(BOXES), 0)
 
 
 def test_vc_exact_dim1_boxes_is_three():
@@ -232,7 +243,7 @@ def test_frontiers_score_each_point_multiset_once_per_n(monkeypatch):
     assert [len(f) for f in frontiers] == [1, 2, 3, 6, 8, 6]  # and F_7 is empty
     assert len(set(scored)) == len(scored)
     per_n = [sum(1 for m, _ in scored if m == n) for n in range(1, 8)]
-    assert per_n == [1, 3, 12, 42, 182, 502, 636]
+    assert per_n == [0, 3, 12, 42, 182, 502, 636]  # F_1 is seeded
 
 
 def test_distance_dependent_families_need_a_witness_at_the_superfamily_value():
@@ -272,17 +283,15 @@ def test_scoring_configurations_keeps_the_oracles_cached_tables():
     ps = PointSet(2, 5, ((F(0), F(1, 5)), (F(2, 5), F(4, 5)), (F(3, 5), F(0))))
     realizable_by_box(ps, 0b101)
     realizable_by_cube(ps, 0b011)
-    caches = (shatter._prefix_masks, shatter._family_tables)
-    before = [cache.cache_info().misses for cache in caches]
+    cache = shatter._family_tables
+    before = cache.cache_info().misses
     assert vc_exact(2, Family(BOXES), 5)[0] == 5
     assert vc_exact(1, Family(CUBES), 4)[0] == 3
     assert search_shattered(2, 4, 300, 0) is not None
     # the scoring builds its tables afresh: only the three re-checks by
-    # shatter_report (a prefix table and a family's tables each) went through the caches
-    after = [cache.cache_info().misses for cache in caches]
-    assert after[0] - before[0] <= 3 and after[1] - before[1] <= 3
-    hits = [cache.cache_info().hits for cache in caches]
-    shatter._prefix_masks(ps.cols)
+    # shatter_report (a family's tables each) went through the cache
+    assert cache.cache_info().misses - before <= 3
+    hits = cache.cache_info().hits
     shatter._family_tables(ps.denom, ps.cols, Family(BOXES))
     shatter._family_tables(ps.denom, ps.cols, Family(CUBES))
-    assert [cache.cache_info().hits for cache in caches] == [hits[0] + 1, hits[1] + 2]
+    assert cache.cache_info().hits == hits + 2
