@@ -34,13 +34,12 @@ from .shatter import (
 )
 from .stripes import build_stripe_shattered_set, stripe_witness
 from .torus import Arc, Box, Cube, PointSet, Stripe, arc_contains, arc_length
-from .vcsearch import ConfigCode, enumerate_configs, search_shattered, vc_exact
+from .vcsearch import enumerate_configs, search_shattered, vc_exact
 
 __all__ = [
     "Arc",
     "BoundParams",
     "Box",
-    "ConfigCode",
     "CountingLedger",
     "Cube",
     "ExtractionVerdict",

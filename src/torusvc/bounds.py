@@ -264,9 +264,8 @@ class BoundParams:
 def choose_parameters(d: int, f_override: int = None) -> BoundParams:
     """q = 1 + 1/f, m = 24 f floor(log2 d), k = floor(d / (mq)), c = mk.
 
-    With the default f = floor(log2 d), qm = 24 (f+1) floor(log2 d) is
-    automatically an integer; an overriding f rounds m up to the nearest
-    multiple of f to keep it so.
+    qm = 24 (f+1) floor(log2 d) is an integer for every f, the default
+    f = floor(log2 d) and an overriding one alike.
     """
     if d < 2:
         raise ValueError("d too small: it must be at least 2")
@@ -276,8 +275,6 @@ def choose_parameters(d: int, f_override: int = None) -> BoundParams:
         raise ValueError("f must be positive")
     q = 1 + Fraction(1, f)
     m = 24 * f * log
-    if m % f:
-        m += f - m % f
     k = int(Fraction(d) / (m * q))
     if k == 0:
         raise ValueError(f"d too small for f={f}: k would be 0")

@@ -40,6 +40,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+STRIPES_BUILD_GUARD = 1 << 20  # coordinates stripes-build may allocate
 
 FAMILY_NAMES = {
     "boxes": BOXES,
@@ -113,9 +114,7 @@ def build_parser() -> _Parser:
     p.add_argument("--points", required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--l", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true", default=True)
-    mode.add_argument("--sample", type=int, default=None)
+    p.add_argument("--sample", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
 
@@ -160,7 +159,13 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_stripes_build(args) -> int:
-    ps = build_stripe_shattered_set(args.n, parse_rat(args.l), args.ambient_dim)
+    n, length, dim = args.n, parse_rat(args.l), args.ambient_dim
+    # (n+1) * max(2^n, dim) coordinates; n is bounded before 2^n is formed
+    if n > 0 and (n >= STRIPES_BUILD_GUARD.bit_length()
+                  or (n + 1) * max(1 << n, dim or 0) > STRIPES_BUILD_GUARD):
+        raise GuardExceeded("stripes-build guard: (n+1) * max(2^n, ambient dimension) "
+                            f"coordinates > {STRIPES_BUILD_GUARD}")
+    ps = build_stripe_shattered_set(n, length, dim)
     write_points(ps, args.output)
     print(f"wrote {len(ps)} points in dimension {ps.dim} denom {ps.denom}")
     return EXIT_OK

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .errors import GuardExceeded
+from .errors import GuardExceeded, PostconditionError
 from .matching import augment, deficient_set, maximum_matching
 
 EXHAUSTIVE_GUARD = 10**7
@@ -118,7 +118,10 @@ def check_extraction(matrix: SymbolMatrix, mode: str = "witness") -> ExtractionV
 
     exhaustive mode tries every word (first counterexample in lexicographic
     word order); witness mode searches directly for a small failure witness,
-    subsets by increasing size with union-size pruning.
+    subsets by increasing size with union-size pruning.  A negative verdict
+    is re-checked before it is returned: its failure witness must pass
+    validate_failure_witness and its counterexample word, if any, must be
+    unmatchable (else PostconditionError).
     """
     c, k = matrix.n_rows, matrix.k
     if mode == "exhaustive":
@@ -126,14 +129,20 @@ def check_extraction(matrix: SymbolMatrix, mode: str = "witness") -> ExtractionV
             raise GuardExceeded(
                 f"exhaustive check guard: k^c = {k**c} > {EXHAUSTIVE_GUARD}"
             )
-        return _check_exhaustive(matrix)
-    if mode == "witness":
+        verdict = _check_exhaustive(matrix)
+    elif mode == "witness":
         if (k + 1) ** c > WITNESS_GUARD:
             raise GuardExceeded(
                 f"witness check guard: (k+1)^c = {(k + 1) ** c} > {WITNESS_GUARD}"
             )
-        return _check_witness(matrix)
-    raise ValueError(f"unknown mode {mode!r}")
+        verdict = _check_witness(matrix)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    word = verdict.counterexample_word
+    if not verdict.holds and (not validate_failure_witness(matrix, verdict.failure_witness)
+                              or word is not None and word_matchable(matrix, word)):
+        raise PostconditionError(f"negative verdict {verdict} fails its re-check")
+    return verdict
 
 
 def _check_exhaustive(matrix: SymbolMatrix) -> ExtractionVerdict:
@@ -148,14 +157,13 @@ def _check_exhaustive(matrix: SymbolMatrix) -> ExtractionVerdict:
     supports = [[matrix.support(i, s) for s in range(matrix.k)] for i in range(c)]
     word = [0] * c
     adjacency = [None] * c
-    matched = [None] * c  # augment's record of the left side, never read back
 
     def first_failing_row(r, match_right):
         for s, support in enumerate(supports[r]):
             word[r] = s
             adjacency[r] = support
             extended = match_right[:]
-            if not augment(adjacency, r, matched, extended, set()):
+            if not augment(adjacency, r, extended, set()):
                 return r
             if r + 1 < c:
                 failed = first_failing_row(r + 1, extended)

@@ -38,68 +38,63 @@ def _read_ints(path, lineno, line, count, what):
         raise ParseError(path, lineno, f"non-integer {what}") from None
 
 
-def _check_end(path, lines, rows, what):
-    """Refuse a non-blank line after the header's declared rows."""
+def _lines(path, kind: str) -> list:
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError(path, 1, f"empty {kind} file")
+    return lines
+
+
+def _read_rows(path, lines, rows: int, width: int, bound: int, names) -> list:
+    """The rows lines after the header, each of width integers in [0, bound);
+    only blank lines may follow them.  names = (the rows, the integers, one
+    integer), as the error messages call them."""
+    what, items, item = names
+    if len(lines) < rows + 1:
+        raise ParseError(path, len(lines), f"expected {rows} {what}")
+    out = []
+    for lineno, line in enumerate(lines[1:rows + 1], start=2):
+        vals = _read_ints(path, lineno, line, width, items)
+        for v in vals:
+            if not 0 <= v < bound:
+                raise ParseError(path, lineno, f"{item} {v} outside [0,{bound})")
+        out.append(tuple(vals))
     for lineno, line in enumerate(lines[rows + 1:], start=rows + 2):
         if line.strip():
             raise ParseError(path, lineno, f"expected {rows} {what}, got more")
+    return out
+
+
+def _write_rows(path, rows) -> None:
+    """One line of space-separated integers per row, the header first."""
+    with open(path, "w") as fh:
+        fh.write("".join(" ".join(map(str, row)) + "\n" for row in rows))
 
 
 def write_points(ps: PointSet, path: str) -> None:
-    lines = [f"{ps.dim} {len(ps)} {ps.denom}"]
-    for p in zip(*ps.cols):
-        lines.append(" ".join(str(t) for t in p))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_rows(path, [(ps.dim, len(ps), ps.denom), *zip(*ps.cols)])
 
 
 def read_points(path: str) -> PointSet:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(path, 1, "empty points file")
+    lines = _lines(path, "points")
     d, n, denom = _read_ints(path, 1, lines[0], 3, "header fields (d n D)")
     if d < 1 or n < 0 or denom < 1:
         raise ParseError(path, 1, f"invalid header d={d} n={n} D={denom}")
-    if len(lines) < n + 1:
-        raise ParseError(path, len(lines), f"expected {n} point lines")
-    points = []
-    for r in range(n):
-        ts = _read_ints(path, r + 2, lines[r + 1], d, "coordinates")
-        for t in ts:
-            if not 0 <= t < denom:
-                raise ParseError(path, r + 2, f"coordinate {t} outside [0,{denom})")
-        points.append(tuple(Fraction(t, denom) for t in ts))
-    _check_end(path, lines, n, "point lines")
-    return PointSet(d, denom, tuple(points))
+    rows = _read_rows(path, lines, n, d, denom, ("point lines", "coordinates", "coordinate"))
+    return PointSet(d, denom, tuple(tuple(Fraction(t, denom) for t in ts) for ts in rows))
 
 
 def write_matrix(matrix: SymbolMatrix, path: str) -> None:
-    lines = [f"{matrix.n_rows} {matrix.n_cols} {matrix.k}"]
-    for row in matrix.rows:
-        lines.append(" ".join(str(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_rows(path, [(matrix.n_rows, matrix.n_cols, matrix.k), *matrix.rows])
 
 
 def read_matrix(path: str) -> SymbolMatrix:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(path, 1, "empty matrix file")
+    lines = _lines(path, "matrix")
     c, d, k = _read_ints(path, 1, lines[0], 3, "header fields (c d k)")
     if c < 1 or d < 1 or k < 1:
         raise ParseError(path, 1, f"invalid header c={c} d={d} k={k}")
-    if len(lines) < c + 1:
-        raise ParseError(path, len(lines), f"expected {c} matrix rows")
-    rows = []
-    for r in range(c):
-        vals = _read_ints(path, r + 2, lines[r + 1], d, "entries")
-        for v in vals:
-            if not 0 <= v < k:
-                raise ParseError(path, r + 2, f"entry {v} outside [0,{k})")
-        rows.append(tuple(vals))
-    _check_end(path, lines, c, "matrix rows")
+    rows = _read_rows(path, lines, c, d, k, ("matrix rows", "entries", "entry"))
     return SymbolMatrix(tuple(rows), k)
 
 
@@ -151,10 +146,7 @@ def write_certificate(witnesses: dict, dim: int, n_points: int, path: str) -> No
 
 def read_certificate(path: str):
     """Returns (dim, n_points, denom, kind, {mask: shape})."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(path, 1, "empty certificate file")
+    lines = _lines(path, "certificate")
     head = lines[0].split()
     if len(head) != 4:
         raise ParseError(path, 1, "expected header 'd n D kind'")

@@ -77,10 +77,7 @@ def _detect_construction(base: PointSet, length: Rat):
     n = len(base) - 1
     if n < 1 or (1 << n) > base.dim:
         return None
-    try:
-        built = build_stripe_shattered_set(n, length, ambient_dim=base.dim)
-    except ValueError:
-        return None
+    built = build_stripe_shattered_set(n, length, ambient_dim=base.dim)
     return n if built.points == base.points else None
 
 

@@ -6,18 +6,17 @@ ascending column order, which makes the returned matching deterministic.
 """
 
 
-def augment(adjacency, i: int, match_left, match_right, visited) -> bool:
+def augment(adjacency, i: int, match_right, visited) -> bool:
     """Kuhn's step: find an augmenting path from left vertex i and flip it.
 
-    Updates match_left and match_right in place; only match_right is read,
-    and visited collects the right vertices this search has tried.
+    Updates match_right in place; visited collects the right vertices this
+    search has tried.
     """
     for j in adjacency[i]:
         if j in visited:
             continue
         visited.add(j)
-        if match_right[j] is None or augment(adjacency, match_right[j], match_left, match_right, visited):
-            match_left[i] = j
+        if match_right[j] is None or augment(adjacency, match_right[j], match_right, visited):
             match_right[j] = i
             return True
     return False
@@ -30,13 +29,11 @@ def maximum_matching(adjacency, n_right: int):
     vertex i.  Returns (size, match) where match[i] is the right vertex
     matched to left i, or None.
     """
-    match_left = [None] * len(adjacency)
     match_right = [None] * n_right
-    size = 0
     for i in range(len(adjacency)):
-        if augment(adjacency, i, match_left, match_right, set()):
-            size += 1
-    return size, match_left
+        augment(adjacency, i, match_right, set())
+    match = {i: j for j, i in enumerate(match_right) if i is not None}
+    return len(match), [match.get(i) for i in range(len(adjacency))]
 
 
 def deficient_set(adjacency, n_right: int):

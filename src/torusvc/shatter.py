@@ -25,10 +25,10 @@ the arc from (4 v_a - 1)/(4D) to (4 v_c + 1)/(4D), closed for boxes and
 open for stripes of any length, and the empty trace by the arc from
 (4v + 1)/(4D) to (4v + 2)/(4D).  A realizable cube pattern is realizable
 with the maximal per-dimension enclosing length, a multiple of 1/D, or
-with the minimal edge 1/(2D), so cube edges run over t/(2D) in ascending
-order with starts on the quarter-grid.  Fixed-length stripes start on
-{t/g}, g = 2 lcm(D, denominator of the length), where every critical start
-lies.
+with the minimal edge 1/(2D), so cube edges run over t/(2D) for t = 1 and
+the even t, ascending, with starts on the quarter-grid.  Fixed-length
+stripes start on {t/g}, g = 2 lcm(D, denominator of the length), where
+every critical start lies.
 
 Coverage is integer arithmetic on PointSet.cols (numerators over D): _cover
 rounds an arc's grid endpoints (Arc.grid) onto the point grid and XORs two
@@ -159,14 +159,15 @@ def _components(denom: int, prefix: tuple, family: Family):
     """(g, closed, components): the grid 1/g of the family's arc ends,
     whether its arcs are closed, and the (label, per-dimension tables)
     whose closures it unites, in scan order: the one box closure; a cube
-    closure per edge t/(2D), the label, ascending (built lazily); a stripe
-    closure per anchor dimension, the label."""
+    closure per edge t/(2D) for t = 1 and each even t, the label, ascending
+    (built lazily; by the module docstring no other edge realizes more); a
+    stripe closure per anchor dimension, the label."""
     g = 4 * denom
     if family.kind == BOXES:
         return g, True, [(None, _runs(denom, prefix))]
     if family.kind == CUBES:
         return g, True, ((Fraction(t, 2 * denom), _first_arcs(denom, prefix, g, 2 * t, True))
-                         for t in range(1, 2 * denom))
+                         for t in (1, *range(2, 2 * denom, 2)))
     if family.kind == STRIPES_ANY:
         tables = _runs(denom, prefix)
     else:

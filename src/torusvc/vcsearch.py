@@ -1,12 +1,12 @@
 """Exact VC-dimension computation for small d, plus randomized search.
 
-Configurations are encoded combinatorially: per dimension, an assignment of
-points to levels (a weak cyclic order; ties allowed), realized at
-coordinates level/n.  For boxes and for stripes of any length the verdict
-depends only on these weak cyclic orders, because an arc's trace in one
-dimension is a cyclic run of tied groups.  Levels are the integer view of
-the realized point set over the denominator n, so every verdict counts
-shatter.realizable_masks on them.
+A configuration is its level tuple, d tuples of n ints: per dimension, an
+assignment of points to levels (a weak cyclic order; ties allowed), which
+realize places at coordinates level/n.  For boxes and for stripes of any
+length the verdict depends only on these weak cyclic orders, because an
+arc's trace in one dimension is a cyclic run of tied groups.  Levels are
+the integer view of the realized point set over the denominator n, so
+every verdict counts shatter.realizable_masks on them.
 
 vc_exact grows the frontier F_n of shattered classes, a class being the
 canonical_class of a configuration, from F_1, the single one-point class:
@@ -39,7 +39,6 @@ found gives the certified bracket L <= VC <= U, raised as VCBracket.
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardExceeded, PostconditionError, VCBracket
@@ -49,7 +48,6 @@ from .shatter import (
     STRIPES_ANY,
     STRIPES_FIXED,
     Family,
-    ShatterReport,
     realizable_masks,
     shatter_report,
 )
@@ -62,21 +60,12 @@ ENUM_GUARD_N = 8
 SUPERFAMILY = {CUBES: BOXES, STRIPES_FIXED: STRIPES_ANY}
 
 
-@dataclass(frozen=True)
-class ConfigCode:
-    """Per-dimension level assignments; point p sits at levels[j][p] / n."""
-
-    d: int
-    n: int
-    levels: tuple  # d tuples of n ints in 0..n-1
-
-    def realize(self) -> PointSet:
-        n = self.n
-        points = tuple(
-            tuple(Fraction(self.levels[j][p], n) for j in range(self.d))
-            for p in range(n)
-        )
-        return PointSet(self.d, n, points)
+def realize(levels) -> PointSet:
+    """The configuration's point set: point p sits at levels[j][p] / n in
+    dimension j, for d tuples of n levels in 0..n-1."""
+    n = len(levels[0])
+    return PointSet(len(levels), n, tuple(
+        tuple(Fraction(col[p], n) for col in levels) for p in range(n)))
 
 
 def _check_size(d: int, n: int) -> None:
@@ -109,7 +98,7 @@ def enumerate_configs(d: int, n: int, frontier):
         for choice in itertools.product(*options):
             # t is None in a gap, where no old point can sit
             if tuple(t for _, t in choice) not in cls:
-                yield ConfigCode(d, n, tuple(levels for levels, _ in choice))
+                yield tuple(levels for levels, _ in choice)
 
 
 def canonical_class(levels) -> tuple:
@@ -141,8 +130,8 @@ def canonical_class(levels) -> tuple:
     )
 
 
-def _shattered(cfg: ConfigCode, family: Family) -> bool:
-    return len(realizable_masks(cfg.levels, cfg.n, family)) == 1 << cfg.n
+def _shattered(levels, family: Family) -> bool:
+    return len(realizable_masks(levels, len(levels[0]), family)) == 1 << len(levels[0])
 
 
 def shattered_frontiers(d: int, family: Family, n_max: int) -> list:
@@ -158,12 +147,12 @@ def shattered_frontiers(d: int, family: Family, n_max: int) -> list:
     frontiers = [[((0,) * d,)]]  # F_1: one point, at the origin in every dimension
     for n in range(2, n_max + 1):
         scored, found = set(), set()
-        for cfg in enumerate_configs(d, n, frontiers[-1]):
-            points = tuple(sorted(zip(*cfg.levels)))
+        for levels in enumerate_configs(d, n, frontiers[-1]):
+            points = tuple(sorted(zip(*levels)))
             if points not in scored:
                 scored.add(points)
-                if _shattered(cfg, family):
-                    found.add(canonical_class(cfg.levels))
+                if _shattered(levels, family):
+                    found.add(canonical_class(levels))
         if not found:
             break
         frontiers.append(sorted(found))
@@ -171,12 +160,11 @@ def shattered_frontiers(d: int, family: Family, n_max: int) -> list:
 
 
 def _rotations(cls):
-    """The class as a configuration in each per-dimension rotation of its
-    levels, the unrotated one first."""
+    """The class's levels in each per-dimension rotation, the unrotated
+    one first."""
     cols = tuple(zip(*cls))
     for rotation in itertools.product(*(range(max(col) + 1) for col in cols)):
-        yield ConfigCode(len(cols), len(cls), tuple(
-            tuple((x + r) % (max(col) + 1) for x in col) for col, r in zip(cols, rotation)))
+        yield tuple(tuple((x + r) % (max(col) + 1) for x in col) for col, r in zip(cols, rotation))
 
 
 def vc_exact(d: int, family: Family, n_max: int):
@@ -197,9 +185,9 @@ def vc_exact(d: int, family: Family, n_max: int):
     if family != superfamily:
         # every family shatters one point, so the search ends by n = 1
         value, witness = next(
-            (n, cfg) for n in range(upper, 0, -1)
-            for cls in frontiers[n - 1] for cfg in _rotations(cls) if _shattered(cfg, family))
-    ps = witness.realize()
+            (n, levels) for n in range(upper, 0, -1)
+            for cls in frontiers[n - 1] for levels in _rotations(cls) if _shattered(levels, family))
+    ps = realize(witness)
     report = shatter_report(ps, family)
     if not report.shattered:
         raise PostconditionError(f"the configuration found for n={value} fails its re-check")
@@ -219,9 +207,7 @@ def search_shattered(d: int, n: int, budget: int, seed: int):
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
     rng = random.Random(seed)
-    levels = [
-        [rng.randrange(n) for _ in range(n)] for _ in range(d)
-    ]
+    levels = [[rng.randrange(n) for _ in range(n)] for _ in range(d)]
     want = 1 << n
     score = len(realizable_masks(tuple(map(tuple, levels)), n, Family(BOXES)))
     for _ in range(budget):
@@ -238,9 +224,8 @@ def search_shattered(d: int, n: int, budget: int, seed: int):
             levels[j][p] = old
     if score != want:
         return None
-    cfg = ConfigCode(d, n, tuple(tuple(lv) for lv in levels))
-    ps = cfg.realize()
-    report: ShatterReport = shatter_report(ps, Family(BOXES))
+    ps = realize(levels)
+    report = shatter_report(ps, Family(BOXES))
     if not report.shattered:
         return None
     return ps, report.witnesses

@@ -3,8 +3,8 @@
 Kept verbatim, so that the tests can check the frontiers that
 ``vcsearch.shattered_frontiers`` grows by one-point extensions against every
 weak cyclic order; it imports nothing from ``torusvc``.  Handles d <= 2
-only, and yields plain level tuples (d tuples of n ints in 0..n-1) in
-place of ``ConfigCode``.
+only, and yields level tuples (d tuples of n ints in 0..n-1), the form
+in which ``vcsearch`` holds every configuration.
 """
 
 

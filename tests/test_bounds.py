@@ -103,6 +103,8 @@ def test_lower_bound_worked_value():
 def test_lower_bound_refuses_uncertified():
     with pytest.raises((NotCertified, ValueError)):
         lower_bound_value(1 << 10)
+    with pytest.raises(NotCertified, match="^bound not certified at d=4096: parameter condition fails$"):
+        lower_bound_value(1 << 12)
 
 
 def test_choose_parameters_validation():

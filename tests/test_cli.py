@@ -1,5 +1,8 @@
+import argparse
 import hashlib
+import inspect
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -111,6 +114,19 @@ def test_stripes_build_then_shatter(tmp_path):
     assert code == 0
 
 
+def test_stripes_build_refuses_constructions_it_cannot_build(tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("the guard must refuse before anything is built")
+
+    monkeypatch.setattr(cli_module, "build_stripe_shattered_set", never)
+    out_path = tmp_path / "huge.txt"
+    for argv in (("--n", "40"), ("--n", "1", "--ambient-dim", "1000000000")):
+        assert cli("stripes-build", *argv, "--l", "1/2", "-o", str(out_path)) == (
+            3, "", "refused: stripes-build guard: (n+1) * max(2^n, ambient dimension) "
+                   "coordinates > 1048576\n")
+    assert not out_path.exists()
+
+
 def test_extract_check_exit_codes(tmp_path):
     good = tmp_path / "good.txt"
     write_matrix(SymbolMatrix(((0, 1, 1, 0), (1, 0, 0, 1)), 2), good)
@@ -140,6 +156,11 @@ def test_extract_sample(tmp_path):
 
     m = read_matrix(out_path)
     assert m.n_rows == 4 and m.n_cols == 8 and m.is_balanced()
+    # the first matrix drawn from seed 0 lacks the property
+    missing = tmp_path / "none.txt"
+    assert cli("extract-sample", "--m", "1", "--k", "4", "--q", "2", "--seed", "0",
+               "--max-trials", "1", "-o", str(missing)) == (1, "exhausted after 1 trials\n", "")
+    assert not missing.exists()
 
 
 def test_lift_certify_verify_pipeline(tmp_path):
@@ -159,6 +180,41 @@ def test_lift_certify_verify_pipeline(tmp_path):
     code, out, _ = cli("verify-cert", lifted, cert)
     assert code == 0
     assert "verified 64 masks" in out
+
+
+def test_certify_lift_refusals(tmp_path):
+    base, _ = write_lift_inputs(tmp_path)
+    # both rows hold symbols 1, 2 and 3 in one shared column each, so an
+    # anchor word repeating one of them cannot be matched
+    matrix = tmp_path / "bad-matrix.txt"
+    row = (0, 1, 2, 3, 0, 0, 0, 0)
+    write_matrix(SymbolMatrix((row, row), 4), matrix)
+    cert = tmp_path / "cert.txt"
+    argv = ("certify-lift", "--points", base, "--matrix", str(matrix), "--l", "1/2",
+            "-o", str(cert))
+    assert cli(*argv) == (
+        1, "lift verification failed on 12 masks: 9, e, 12, 15, 1b, 1c, 23, 24\n", "")
+    assert not cert.exists()
+    # exhaustive is the mode without --sample; no flag selects it
+    code, out, err = cli(*argv, "--exhaustive")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --exhaustive\n")
+
+
+def test_every_cli_option_is_read():
+    parser = cli_module.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    # --jobs is the documented no-op, kept for interface compatibility
+    unread = [a.dest for a in parser._actions
+              if a.dest not in ("help", "jobs") and a is not commands]
+    for name, sub in commands.choices.items():
+        source = inspect.getsource(cli_module._COMMANDS[name])
+        if "_family_from_args(args)" in source:
+            source += inspect.getsource(cli_module._family_from_args)
+        unread += [f"{name} {a.dest}" for a in sub._actions
+                   if a.dest != "help" and not re.search(rf"\bargs\.{a.dest}\b", source)]
+    assert "args.command" in inspect.getsource(cli_module.run)
+    assert unread == []
 
 
 def test_tampered_certificate_rejected(tmp_path):

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 import reference_lift
-from torusvc.errors import GuardExceeded
+from torusvc import extraction
+from torusvc.errors import GuardExceeded, PostconditionError
 from torusvc.extraction import (
+    ExtractionVerdict,
     SymbolMatrix,
     check_extraction,
     failure_probability_bound,
@@ -170,3 +172,24 @@ def test_check_extraction_guards():
         check_extraction(wide, "exhaustive")
     with pytest.raises(ValueError):
         check_extraction(superdiagonal_matrix(2), "magic")
+
+
+def test_failure_witness_validator_rejects_each_malformed_witness():
+    m = SymbolMatrix(((0, 1), (0, 1)), 2)
+    assert validate_failure_witness(m, ((0, 1), (0,), {0: 0, 1: 0}))
+    assert not validate_failure_witness(m, ((0, 1), (0, 1), {0: 0, 1: 0}))  # |V| != |U| - 1
+    assert not validate_failure_witness(m, ((0, 1), (0,), {0: 0}))  # row 1 has no symbol
+    assert not validate_failure_witness(m, ((0, 1), (1,), {0: 0, 1: 0}))  # support {0} outside V
+
+
+def test_negative_verdicts_are_rechecked(monkeypatch):
+    m = SymbolMatrix(((0, 1), (0, 1)), 2)
+    corrupt = ExtractionVerdict(False, None, ((0, 1), (1,), {0: 0, 1: 0}))
+    monkeypatch.setattr(extraction, "_check_witness", lambda matrix: corrupt)
+    with pytest.raises(PostconditionError, match="fails its re-check"):
+        check_extraction(m, "witness")
+    # a valid failure witness beside a word that rows (0, 1) and (0, 1) can match
+    matchable = ExtractionVerdict(False, (0, 1), ((0, 1), (0,), {0: 0, 1: 0}))
+    monkeypatch.setattr(extraction, "_check_exhaustive", lambda matrix: matchable)
+    with pytest.raises(PostconditionError, match="fails its re-check"):
+        check_extraction(m, "exhaustive")

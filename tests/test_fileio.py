@@ -77,6 +77,17 @@ def test_matrix_parse_errors(tmp_path):
     assert str(err.value) == f"{path}:4: expected 1 matrix rows, got more"
     path.write_text("1 2 2\n0 1\n\n")
     assert read_matrix(path).rows == ((0, 1),)
+    for text, message in [
+        ("", "1: empty matrix file"),
+        ("2 2\n", "1: expected 3 header fields (c d k), got 2"),
+        ("0 2 2\n", "1: invalid header c=0 d=2 k=2"),
+        ("2 2 2\n0 1\n", "2: expected 2 matrix rows"),
+        ("1 2 2\n0 x\n", "2: non-integer entries"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        assert str(err.value) == f"{path}:{message}"
 
 
 def test_certificate_roundtrip_box(tmp_path):
@@ -136,6 +147,22 @@ def test_certificate_parse_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         read_certificate(path)
     assert ":2:" in str(err.value)
+    for text, message in [
+        ("", "1: empty certificate file"),
+        ("2 2 8\n", "1: expected header 'd n D kind'"),
+        ("2 x 8 box\n", "1: non-integer header field"),
+        ("2 2 8 box\nmask=1 0 4 ; 2 2\n", "2: malformed certificate line"),
+        ("2 2 8 box\nmask=zz shape=0 4 ; 2 2\n", "2: malformed certificate line"),
+        ("2 2 8 box\nmask=1 shape=0 4 ; 2 8\n", "2: arc length 1 outside (0,1)"),
+        ("2 2 8 stripe\nmask=1 shape=0 4 ; 2 3\n", "2: stripe shape needs 'anchor start ; length'"),
+        ("2 2 8 box\nmask=1 shape=0 4 ; 2\n", "2: expected 2 arc lengths, got 1"),
+        ("2 2 8 box\nmask=1 shape=0 ; 2 2\n", "2: expected 2 arc starts, got 1"),
+        ("2 2 8 cube\nmask=1 shape=0 4 ; 2 2\n", "2: cube shape needs a single edge numerator"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_certificate(path)
+        assert str(err.value) == f"{path}:{message}"
 
 
 def test_certificate_reader_builds_each_distinct_arc_once(tmp_path):

@@ -27,9 +27,9 @@ from torusvc.torus import PointSet
 from reference_enumeration import _dim2_assignments, cyclic_compositions, enumerate_levels
 
 from torusvc.vcsearch import (
-    ConfigCode,
     canonical_class,
     enumerate_configs,
+    realize,
     search_shattered,
     shattered_frontiers,
     vc_exact,
@@ -48,8 +48,7 @@ def boxes_shatter(levels, n):
 
 
 def test_config_realize():
-    cfg = ConfigCode(2, 3, ((0, 1, 2), (0, 0, 1)))
-    ps = cfg.realize()
+    ps = realize(((0, 1, 2), (0, 0, 1)))
     assert ps.denom == 3
     assert ps.points[1] == (F(1, 3), F(0))
 
@@ -61,17 +60,16 @@ def test_run_masks_agrees_with_geometry():
     from bruteforce import closed_arc_masks
 
     for levels in itertools.product(range(4), repeat=4):
-        cfg = ConfigCode(1, 4, (levels,))
-        geometric = closed_arc_masks(cfg.realize(), 0) | {0, 0b1111}
+        geometric = closed_arc_masks(realize((levels,)), 0) | {0, 0b1111}
         assert box_masks((levels,), 4) == geometric
 
 
 def test_boxes_shatter_agrees_with_oracle():
     for levels1 in itertools.product(range(3), repeat=3):
         for levels2 in ((0, 1, 2), (0, 0, 1), (0, 0, 0)):
-            cfg = ConfigCode(2, 3, (levels1, levels2))
-            fast = boxes_shatter(cfg.levels, 3)
-            slow = shatter_report(cfg.realize(), Family(BOXES)).shattered
+            levels = (levels1, levels2)
+            fast = boxes_shatter(levels, 3)
+            slow = shatter_report(realize(levels), Family(BOXES)).shattered
             assert fast == slow
 
 
@@ -136,7 +134,7 @@ def test_frontier_extensions_validate_their_classes():
     with pytest.raises(ValueError):
         list(enumerate_configs(2, 3, [((0, 0),)]))
     # one point in the plane: a tie or a gap per dimension, minus the duplicate
-    assert [cfg.levels for cfg in enumerate_configs(2, 2, [((0, 0),)])] == [
+    assert list(enumerate_configs(2, 2, [((0, 0),)])) == [
         ((0, 0), (0, 1)), ((0, 1), (0, 0)), ((0, 1), (0, 1))]
 
 
@@ -205,7 +203,7 @@ def test_vc_exact_dim2_any_stripes_is_five():
     assert value == 5 and len(witnesses) == 32
     assert fine_growth(ps, "stripes-any") == 32
     # the pentagram the enumeration used to miss is shattered as well
-    pentagram = ConfigCode(2, 5, ((0, 1, 2, 3, 4), (0, 2, 4, 1, 3))).realize()
+    pentagram = realize(((0, 1, 2, 3, 4), (0, 2, 4, 1, 3)))
     assert shatter_report(pentagram, Family(STRIPES_ANY)).shattered
     assert fine_growth(pentagram, "stripes-any") == 32
     # the upper side: on 6 points an open arc traces, in one dimension, no
@@ -221,9 +219,9 @@ def test_vc_exact_scores_a_fifth_of_the_old_enumeration(monkeypatch):
 
     def counted(*args):
         nonlocal scored
-        for cfg in enumerate_all(*args):
+        for levels in enumerate_all(*args):
             scored += 1
-            yield cfg
+            yield levels
 
     monkeypatch.setattr(vcsearch, "enumerate_configs", counted)
     assert vc_exact(2, Family(BOXES), 7)[0] == 6
@@ -234,9 +232,9 @@ def test_frontiers_score_each_point_multiset_once_per_n(monkeypatch):
     scored = []
     shattered = vcsearch._shattered
 
-    def recorded(cfg, family):
-        scored.append((cfg.n, tuple(sorted(zip(*cfg.levels)))))
-        return shattered(cfg, family)
+    def recorded(levels, family):
+        scored.append((len(levels[0]), tuple(sorted(zip(*levels)))))
+        return shattered(levels, family)
 
     monkeypatch.setattr(vcsearch, "_shattered", recorded)
     frontiers = shattered_frontiers(2, Family(BOXES), 7)
