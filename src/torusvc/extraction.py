@@ -4,21 +4,24 @@ A c x d matrix over the alphabet {0..k-1} has the k-extraction property if
 every target word of length c can be read off in pairwise distinct columns,
 one per row.  The property fails exactly when some row set U and column set
 V with |V| = |U| - 1 exist such that every row of U has a symbol occurring
-only inside V (a Hall violator in disguise); both checkers below exploit
-this duality.
+only inside V (a Hall violator in disguise).  Each checker takes its
+violator from its own search: exhaustive mode from the columns its failed
+augmenting path visited, witness mode from a pruned depth-first search
+over the rows.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial
 
 from .errors import GuardExceeded, PostconditionError
-from .matching import augment, deficient_set, maximum_matching
+from .matching import augment, maximum_matching
 
 EXHAUSTIVE_GUARD = 10**7
-WITNESS_GUARD = 10**8
+# the prefix search and each augmenting path recurse once per row
+EXHAUSTIVE_ROW_GUARD = 200
+WITNESS_NODE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -80,18 +83,6 @@ def superdiagonal_matrix(c: int) -> SymbolMatrix:
     return SymbolMatrix(rows, 2)
 
 
-def _pad_columns(cols, want: int, n_cols: int):
-    """Extend a column set to the wanted cardinality, smallest indices first."""
-    out = list(cols)
-    for j in range(n_cols):
-        if len(out) >= want:
-            break
-        if j not in cols:
-            out.append(j)
-    out.sort()
-    return tuple(out)
-
-
 def validate_failure_witness(matrix: SymbolMatrix, witness) -> bool:
     """Independent re-check of a (U, V, symbols) failure witness."""
     rows, cols, symbols = witness
@@ -117,9 +108,9 @@ def check_extraction(matrix: SymbolMatrix, mode: str = "witness") -> ExtractionV
     """Decide the k-extraction property.
 
     exhaustive mode tries every word (first counterexample in lexicographic
-    word order); witness mode searches directly for a small failure witness,
-    subsets by increasing size with union-size pruning.  A negative verdict
-    is re-checked before it is returned: its failure witness must pass
+    word order); witness mode searches the rows depth first for a Hall
+    violator, pruned by how many rows are left.  A negative verdict is
+    re-checked before it is returned: its failure witness must pass
     validate_failure_witness and its counterexample word, if any, must be
     unmatchable (else PostconditionError).
     """
@@ -129,12 +120,12 @@ def check_extraction(matrix: SymbolMatrix, mode: str = "witness") -> ExtractionV
             raise GuardExceeded(
                 f"exhaustive check guard: k^c = {k**c} > {EXHAUSTIVE_GUARD}"
             )
+        if c > EXHAUSTIVE_ROW_GUARD:
+            raise GuardExceeded(
+                f"exhaustive check guard: c = {c} rows > {EXHAUSTIVE_ROW_GUARD}"
+            )
         verdict = _check_exhaustive(matrix)
     elif mode == "witness":
-        if (k + 1) ** c > WITNESS_GUARD:
-            raise GuardExceeded(
-                f"witness check guard: (k+1)^c = {(k + 1) ** c} > {WITNESS_GUARD}"
-            )
         verdict = _check_witness(matrix)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -151,7 +142,10 @@ def _check_exhaustive(matrix: SymbolMatrix) -> ExtractionVerdict:
     A depth-first walk over word prefixes extends the prefix's perfect
     matching by one augmenting path per row.  When a prefix p has none, no
     word starting with p is matchable, and every word before p + zeros has
-    been matched, so p + zeros is the first counterexample.
+    been matched, so p + zeros is the first counterexample.  The failed
+    path visited only matched columns and searched the whole support of
+    each row matched there, so those rows and the last row (U) against the
+    visited columns (V, |V| = |U| - 1) are the failure witness.
     """
     c, d = matrix.n_rows, matrix.n_cols
     supports = [[matrix.support(i, s) for s in range(matrix.k)] for i in range(c)]
@@ -163,8 +157,9 @@ def _check_exhaustive(matrix: SymbolMatrix) -> ExtractionVerdict:
             word[r] = s
             adjacency[r] = support
             extended = match_right[:]
-            if not augment(adjacency, r, extended, set()):
-                return r
+            visited = set()
+            if not augment(adjacency, r, extended, visited):
+                return r, {r, *(extended[j] for j in visited)}, visited
             if r + 1 < c:
                 failed = first_failing_row(r + 1, extended)
                 if failed is not None:
@@ -174,45 +169,57 @@ def _check_exhaustive(matrix: SymbolMatrix) -> ExtractionVerdict:
     failed = first_failing_row(0, [None] * d)
     if failed is None:
         return ExtractionVerdict(True)
-    word = tuple(word[: failed + 1]) + (0,) * (c - failed - 1)
-    adjacency = [supports[i][word[i]] for i in range(c)]
-    rows, cols = deficient_set(adjacency, d)
-    cols = _pad_columns(cols, len(rows) - 1, d)
-    witness = (tuple(rows), cols, {u: word[u] for u in rows})
-    return ExtractionVerdict(False, word, witness)
+    r, rows, cols = failed
+    word = tuple(word[: r + 1]) + (0,) * (c - r - 1)
+    rows = tuple(sorted(rows))
+    return ExtractionVerdict(False, word, (rows, tuple(sorted(cols)), {u: word[u] for u in rows}))
 
 
 def _check_witness(matrix: SymbolMatrix) -> ExtractionVerdict:
-    c, k = matrix.n_rows, matrix.k
-    supports = [
-        {s: frozenset(matrix.support(i, s)) for s in range(k)} for i in range(c)
-    ]
-    for size in range(1, c + 1):
-        limit = size - 1
-        for rows in combinations(range(c), size):
-            found = _witness_dfs(rows, 0, frozenset(), limit, supports, {})
-            if found is not None:
-                union, symbols = found
-                cols = _pad_columns(union, limit, matrix.n_cols)
-                return ExtractionVerdict(False, None, (rows, cols, symbols))
-    return ExtractionVerdict(True)
+    """Search rows 0..c-1 in order for a Hall violator (U, V).
 
-
-def _witness_dfs(rows, idx, union, limit, supports, symbols):
-    if idx == len(rows):
-        return union, dict(symbols)
-    u = rows[idx]
-    for s in sorted(supports[u]):
-        supp = supports[u][s]
-        merged = union | supp
-        if len(merged) > limit:
+    Each row is taken into U with one symbol, which adds that symbol's
+    support to V, or skipped; V is a column bitmask.  A row with a support
+    already inside V is taken at once without branching: any violator that
+    skips it stays one when it is added.  A node is cut when |V| exceeds
+    |U| plus the rows left, minus one.  U grows one row at a time, so the
+    first |V| < |U| met, where the search stops, has |V| = |U| - 1.  More
+    than WITNESS_NODE_BUDGET nodes raise GuardExceeded.  The stack is
+    explicit, so no matrix is too deep for the interpreter's recursion limit.
+    """
+    c, k, d = matrix.n_rows, matrix.k, matrix.n_cols
+    masks = [[sum(1 << j for j in matrix.support(i, s)) for s in range(k)] for i in range(c)]
+    # (next row, V, |U|, U as nested ((row, symbol), rest) pairs)
+    stack = [(0, 0, 0, None)]
+    nodes = 0
+    while stack:
+        nodes += 1
+        if nodes > WITNESS_NODE_BUDGET:
+            raise GuardExceeded(
+                f"witness check guard: more than {WITNESS_NODE_BUDGET} search nodes"
+            )
+        r, cols, size, taken = stack.pop()
+        width = cols.bit_count()
+        if width > size + c - r - 1:
             continue
-        symbols[u] = s
-        found = _witness_dfs(rows, idx + 1, merged, limit, supports, symbols)
-        if found is not None:
-            return found
-        del symbols[u]
-    return None
+        while width >= size and r < c:
+            s = next((s for s, mask in enumerate(masks[r]) if mask | cols == cols), None)
+            if s is None:
+                break
+            taken, size, r = ((r, s), taken), size + 1, r + 1
+        if width < size:
+            symbols = {}
+            while taken is not None:
+                (u, s), taken = taken
+                symbols[u] = s
+            cols = tuple(j for j in range(d) if cols >> j & 1)
+            return ExtractionVerdict(False, None, (tuple(sorted(symbols)), cols, symbols))
+        if r == c:
+            continue
+        stack.append((r + 1, cols, size, taken))
+        for s in reversed(range(k)):
+            stack.append((r + 1, cols | masks[r][s], size + 1, ((r, s), taken)))
+    return ExtractionVerdict(True)
 
 
 def _require_integral_qm(q, m: int) -> int:

@@ -34,35 +34,3 @@ def maximum_matching(adjacency, n_right: int):
         augment(adjacency, i, match_right, set())
     match = {i: j for j, i in enumerate(match_right) if i is not None}
     return len(match), [match.get(i) for i in range(len(adjacency))]
-
-
-def deficient_set(adjacency, n_right: int):
-    """A Hall violator for an unmatchable instance.
-
-    Returns (rows, neighbourhood) with |neighbourhood| < |rows|, or None if
-    a perfect matching of all left vertices exists.
-    """
-    size, match_left = maximum_matching(adjacency, n_right)
-    if size == len(adjacency):
-        return None
-    match_right = [None] * n_right
-    for i, j in enumerate(match_left):
-        if j is not None:
-            match_right[j] = i
-    free = next(i for i, j in enumerate(match_left) if j is None)
-    # alternating reachability from the free vertex
-    rows = {free}
-    cols = set()
-    frontier = [free]
-    while frontier:
-        i = frontier.pop()
-        for j in adjacency[i]:
-            if j in cols:
-                continue
-            cols.add(j)
-            i2 = match_right[j]
-            if i2 is not None and i2 not in rows:
-                rows.add(i2)
-                frontier.append(i2)
-    # every row in rows except the free one is matched into cols
-    return sorted(rows), sorted(cols)

@@ -202,7 +202,8 @@ def search_shattered(d: int, n: int, budget: int, seed: int):
     Mutates one point's level in one dimension, keeping moves that do not
     decrease the number of realizable masks.  Any returned configuration is
     re-certified through shatter_report, so the result needs no trust in
-    the search.  Returns (PointSet, certificate map) or None.
+    the search (PostconditionError if it fails).  Returns (PointSet,
+    certificate map), or None when the budget runs out.
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
@@ -227,5 +228,5 @@ def search_shattered(d: int, n: int, budget: int, seed: int):
     ps = realize(levels)
     report = shatter_report(ps, Family(BOXES))
     if not report.shattered:
-        return None
+        raise PostconditionError(f"the configuration found for n={n} fails its re-check")
     return ps, report.witnesses

@@ -1,9 +1,11 @@
-"""Reference copies of the word-by-word extraction checker and the
-Fraction-path cube witness that ``torusvc`` replaced.
+"""Reference copies of the word-by-word extraction checker, its Hall
+violator search and the Fraction-path cube witness that ``torusvc``
+replaced.
 
-``_check_exhaustive`` matches every word of the matrix from scratch, and
+``_check_exhaustive`` matches every word of the matrix from scratch and
+takes its failure witness from ``deficient_set``'s alternating search, and
 ``cube_witness`` rebuilds each group's base stripe, support and arcs per
-mask.  Both are kept verbatim so that the tests can check the prefix-DFS
+mask.  They are kept verbatim so that the tests can check the prefix-DFS
 checker and the per-instance cell tables against the answers the package
 gave before.  From ``torusvc`` this imports only ``torus``, ``matching``,
 ``stripes`` and ``shatter``.
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from torusvc.matching import deficient_set, maximum_matching
+from torusvc.matching import maximum_matching
 from torusvc.shatter import scan_stripe
 from torusvc.stripes import stripe_witness
 from torusvc.torus import ONE, Arc, Cube
@@ -26,6 +28,38 @@ class ExtractionVerdict:
     holds: bool
     counterexample_word: tuple = None
     failure_witness: tuple = None  # (rows U, columns V, {row: symbol})
+
+
+def deficient_set(adjacency, n_right: int):
+    """A Hall violator for an unmatchable instance.
+
+    Returns (rows, neighbourhood) with |neighbourhood| < |rows|, or None if
+    a perfect matching of all left vertices exists.
+    """
+    size, match_left = maximum_matching(adjacency, n_right)
+    if size == len(adjacency):
+        return None
+    match_right = [None] * n_right
+    for i, j in enumerate(match_left):
+        if j is not None:
+            match_right[j] = i
+    free = next(i for i, j in enumerate(match_left) if j is None)
+    # alternating reachability from the free vertex
+    rows = {free}
+    cols = set()
+    frontier = [free]
+    while frontier:
+        i = frontier.pop()
+        for j in adjacency[i]:
+            if j in cols:
+                continue
+            cols.add(j)
+            i2 = match_right[j]
+            if i2 is not None and i2 not in rows:
+                rows.add(i2)
+                frontier.append(i2)
+    # every row in rows except the free one is matched into cols
+    return sorted(rows), sorted(cols)
 
 
 def _pad_columns(cols, want: int, n_cols: int):

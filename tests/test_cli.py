@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from torusvc import cli as cli_module
+from torusvc import extraction
 from torusvc.cli import run
-from torusvc.extraction import SymbolMatrix
+from torusvc.extraction import SymbolMatrix, superdiagonal_matrix
 from torusvc.fileio import read_points, write_matrix, write_points
 from torusvc.torus import PointSet
 
@@ -127,7 +128,7 @@ def test_stripes_build_refuses_constructions_it_cannot_build(tmp_path, monkeypat
     assert not out_path.exists()
 
 
-def test_extract_check_exit_codes(tmp_path):
+def test_extract_check_exit_codes(tmp_path, monkeypatch):
     good = tmp_path / "good.txt"
     write_matrix(SymbolMatrix(((0, 1, 1, 0), (1, 0, 0, 1)), 2), good)
     assert cli("extract-check", str(good))[0] == 0
@@ -142,6 +143,24 @@ def test_extract_check_exit_codes(tmp_path):
     code, _, err = cli("extract-check", str(huge), "--mode", "exhaustive")
     assert code == 3
     assert "refused" in err
+    monkeypatch.setattr(extraction, "WITNESS_NODE_BUDGET", 10)
+    write_matrix(superdiagonal_matrix(16), huge)
+    assert cli("extract-check", str(huge)) == (
+        3, "", "refused: witness check guard: more than 10 search nodes\n")
+
+
+def test_extract_check_on_deep_matrices_never_recurses_past_the_stack(tmp_path):
+    # one symbol, so k^c = 1: every row is a level of the exhaustive prefix
+    # search and of its augmenting paths
+    path = tmp_path / "deep.txt"
+    for c in (500, 1500):
+        write_matrix(SymbolMatrix(((0,) * c,) * c, 1), path)
+        assert cli("extract-check", str(path)) == (0, "holds\n", "")
+        assert cli("extract-check", str(path), "--mode", "exhaustive") == (
+            3, "", f"refused: exhaustive check guard: c = {c} rows > 200\n")
+    write_matrix(SymbolMatrix(((0,) * 499,) * 500, 1), path)
+    assert cli("extract-check", str(path)) == (
+        1, f"fails witness U={list(range(500))} V={list(range(499))}\n", "")
 
 
 def test_extract_sample(tmp_path):

@@ -41,6 +41,8 @@ def test_superdiagonal_has_extraction_property():
         assert m.n_rows == c and m.n_cols == c + 1
         assert check_extraction(m, "exhaustive").holds
         assert check_extraction(m, "witness").holds
+    # the largest the (k+1)^c <= 10^8 guard of the subset search admitted
+    assert check_extraction(superdiagonal_matrix(16), "witness").holds
 
 
 def test_failing_matrix_reports_valid_evidence():
@@ -57,6 +59,7 @@ def test_failing_matrix_reports_valid_evidence():
 
 def test_mode_agreement_on_seeded_matrices():
     rng = random.Random(42)
+    matrices = []
     for _ in range(120):
         c = rng.randint(1, 6)
         d = rng.randint(c, 10)
@@ -64,7 +67,14 @@ def test_mode_agreement_on_seeded_matrices():
         rows = tuple(
             tuple(rng.randrange(k) for _ in range(d)) for _ in range(c)
         )
-        m = SymbolMatrix(rows, k)
+        matrices.append(SymbolMatrix(rows, k))
+    # balanced matrices with c = mk <= 8 and d = qm * k
+    for seed in range(120):
+        k = rng.randint(1, 3)
+        m = rng.randint(1, 8 // k)
+        matrices.append(random_balanced_matrix(m, k, F(rng.randint(1, 3), m), seed))
+    verdicts = set()
+    for m in matrices:
         ex = check_extraction(m, "exhaustive")
         wit = check_extraction(m, "witness")
         assert ex.holds == wit.holds
@@ -72,6 +82,21 @@ def test_mode_agreement_on_seeded_matrices():
             assert not word_matchable(m, ex.counterexample_word)
             assert validate_failure_witness(m, ex.failure_witness)
             assert validate_failure_witness(m, wit.failure_witness)
+        verdicts.add(ex.holds)
+    assert verdicts == {True, False}
+
+
+def test_witness_search_decides_the_ledger_row_at_d_32():
+    # c = 24, k = 4: far past the (k+1)^c <= 10^8 that the subset search admitted
+    for seed in range(3):
+        m = random_balanced_matrix(6, 4, F(4, 3), seed)
+        assert (m.n_rows, m.n_cols) == (24, 32)
+        assert check_extraction(m, "witness").holds
+    for seed in range(3):
+        m = random_balanced_matrix(7, 4, F(8, 7), seed)
+        verdict = check_extraction(m, "witness")
+        assert not verdict.holds
+        assert validate_failure_witness(m, verdict.failure_witness)
 
 
 def test_exhaustive_checker_matches_word_by_word_reference():
@@ -166,10 +191,13 @@ def test_failure_bound_below_one_over_q_when_req_holds():
         assert ledger.T == ledger.A ** ledger.c
 
 
-def test_check_extraction_guards():
+def test_check_extraction_guards(monkeypatch):
     wide = SymbolMatrix(tuple((0,) * 30 for _ in range(30)), 3)
     with pytest.raises(GuardExceeded):
         check_extraction(wide, "exhaustive")
+    monkeypatch.setattr(extraction, "WITNESS_NODE_BUDGET", 1000)
+    with pytest.raises(GuardExceeded, match="witness check guard: more than 1000 search nodes"):
+        check_extraction(superdiagonal_matrix(16), "witness")
     with pytest.raises(ValueError):
         check_extraction(superdiagonal_matrix(2), "magic")
 

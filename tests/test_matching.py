@@ -1,6 +1,7 @@
 import random
 
-from torusvc.matching import deficient_set, maximum_matching
+from reference_lift import deficient_set
+from torusvc.matching import maximum_matching
 
 
 def test_perfect_matching():

@@ -10,13 +10,14 @@ import reference_enumeration
 from bruteforce import fine_growth
 
 from torusvc import shatter, vcsearch
-from torusvc.errors import GuardExceeded, VCBracket
+from torusvc.errors import GuardExceeded, PostconditionError, VCBracket
 from torusvc.shatter import (
     BOXES,
     CUBES,
     STRIPES_ANY,
     STRIPES_FIXED,
     Family,
+    ShatterReport,
     covered_mask,
     realizable_by_box,
     realizable_by_cube,
@@ -275,6 +276,14 @@ def test_search_finds_and_certifies():
 
 def test_search_can_fail_gracefully():
     assert search_shattered(1, 4, budget=200, seed=1) is None
+
+
+def test_search_raises_when_the_recheck_rejects_its_configuration(monkeypatch):
+    # realizable_masks scores the configuration as shattered; a re-check
+    # that disagrees is a bug, not "nothing found"
+    monkeypatch.setattr(vcsearch, "shatter_report", lambda ps, family: ShatterReport(False, 0))
+    with pytest.raises(PostconditionError, match="fails its re-check"):
+        search_shattered(2, 4, budget=3000, seed=0)
 
 
 def test_scoring_configurations_keeps_the_oracles_cached_tables():
