@@ -25,12 +25,18 @@ start the predicate g(n) > 0 runs False...False True...True, its first
 True is the answer, and ``_smallest_persistent`` finds it by exponential
 search and bisection in O(log answer) probes.
 
-Brackets.  A probe decides g(n) > 0 from an integer bracket on 2^P g(n).
-``_log2_bracket`` brackets 2^P log2 x by squaring a fixed-point mantissa P
-times, once rounding down and once rounding up.  For refined, Stirling's
-formula with Robbins' remainder bounds 1/(12n+1) < r_n < 1/(12n)
-(H. Robbins, "A remark on Stirling's formula", Amer. Math. Monthly 62
-(1955) 26-29) gives, from (2d-1)!! = (2d)! / (2^d d!),
+Probes.  The stripe probe is the exact comparison 2^n > d (n+1)^2: the
+search stays within a factor of two of the crossing, which lies near
+log2 d, so both sides have O(log d) bits and one comparison costs no more
+than a bracket would.  The exact sides of trivial and refined have about
+2d log2 n bits, so their probes are decided on brackets instead.
+
+Brackets.  A trivial or refined probe decides g(n) > 0 from an integer
+bracket on 2^P g(n).  ``_log2_bracket`` brackets 2^P log2 x by squaring a
+fixed-point mantissa P times, once rounding down and once rounding up.
+For refined, Stirling's formula with Robbins' remainder bounds
+1/(12n+1) < r_n < 1/(12n) (H. Robbins, "A remark on Stirling's formula",
+Amer. Math. Monthly 62 (1955) 26-29) gives, from (2d-1)!! = (2d)! / (2^d d!),
 
     log2 (2d-1)!! = d log2 d + d + 1/2 - (d - r_2d + r_d) / ln 2,
 
@@ -167,18 +173,7 @@ def stripe_upper_bound_n(d: int) -> int:
     """Smallest n with 2^n > d (n+1)^2 (for it and all larger n); VC(stripes_l) <= n - 1."""
     if d < 1:
         raise ValueError("d must be positive")
-    precisions = _precisions(d)
-    log_d = {p: _log2_bracket(d, p) for p in precisions}
-
-    def gap(n, p):
-        d_lo, d_hi = log_d[p]
-        lo, hi = _log2_bracket(n + 1, p)
-        return (n << p) - d_hi - 2 * hi, (n << p) - d_lo - 2 * lo
-
-    def exact(n):
-        return 2**n > d * (n + 1) ** 2
-
-    return _smallest_persistent(_prober(gap, precisions, exact))
+    return _smallest_persistent(lambda n: 2**n > d * (n + 1) ** 2)
 
 
 def trivial_upper_bound_n(d: int) -> int:
@@ -261,18 +256,13 @@ class BoundParams:
     ext_req_ok: bool
 
 
-def choose_parameters(d: int, f_override: int = None) -> BoundParams:
-    """q = 1 + 1/f, m = 24 f floor(log2 d), k = floor(d / (mq)), c = mk.
-
-    qm = 24 (f+1) floor(log2 d) is an integer for every f, the default
-    f = floor(log2 d) and an overriding one alike.
+def choose_parameters(d: int) -> BoundParams:
+    """f = floor(log2 d), q = 1 + 1/f, m = 24 f floor(log2 d),
+    k = floor(d / (mq)), c = mk; qm = 24 (f+1) floor(log2 d) is an integer.
     """
     if d < 2:
         raise ValueError("d too small: it must be at least 2")
-    log = floor_log2(d)
-    f = f_override if f_override is not None else log
-    if f < 1:
-        raise ValueError("f must be positive")
+    f = log = floor_log2(d)
     q = 1 + Fraction(1, f)
     m = 24 * f * log
     k = int(Fraction(d) / (m * q))
@@ -288,12 +278,12 @@ def choose_parameters(d: int, f_override: int = None) -> BoundParams:
     return BoundParams(d, f, q, m, k, c, d_prime, condition_ok, ext_req_ok)
 
 
-def _lower_bound(d: int, f_override: int = None):
+def _lower_bound(d: int):
     """(c (floor(log2 k) + 1), None) if certified at d, else (None, why not).
 
     Raises ValueError, as ``choose_parameters`` does, when d is too small.
     """
-    params = choose_parameters(d, f_override)
+    params = choose_parameters(d)
     if not params.condition_ok:
         return None, "parameter condition fails"
     if not params.ext_req_ok:
@@ -301,13 +291,13 @@ def _lower_bound(d: int, f_override: int = None):
     return params.c * (floor_log2(params.k) + 1), None
 
 
-def lower_bound_value(d: int, f_override: int = None) -> int:
+def lower_bound_value(d: int) -> int:
     """Constructive lower bound c * (floor(log2 k) + 1) on VC of cubes in T^d.
 
     Certified only when the parameter condition and the extraction
     requirement both hold at these parameters.
     """
-    value, reason = _lower_bound(d, f_override)
+    value, reason = _lower_bound(d)
     if reason is not None:
         raise NotCertified(f"bound not certified at d={d}: {reason}")
     return value

@@ -212,12 +212,9 @@ def _cmd_certify_lift(args) -> int:
     inst = lift_points(
         read_points(args.points), read_matrix(args.matrix), parse_rat(args.l)
     )
-    if args.sample is not None:
-        report = verify_lift(inst, "sample", sample=args.sample, seed=args.seed)
-        masks = sample_masks(len(inst.lifted), args.sample, args.seed)
-    else:
-        report = verify_lift(inst, "exhaustive")
-        masks = range(1 << len(inst.lifted))
+    n = len(inst.lifted)
+    masks = range(1 << n) if args.sample is None else sample_masks(n, args.sample, args.seed)
+    report = verify_lift(inst, masks)
     if report.failures:
         shown = ", ".join(f"{m:x}" for m in report.failures[:8])
         print(f"lift verification failed on {len(report.failures)} masks: {shown}")

@@ -5,6 +5,10 @@ classic Kuhn algorithm is plenty.  Neighbour lists are explored in
 ascending column order, which makes the returned matching deterministic.
 """
 
+import sys
+
+from .errors import GuardExceeded
+
 
 def augment(adjacency, i: int, match_right, visited) -> bool:
     """Kuhn's step: find an augmenting path from left vertex i and flip it.
@@ -27,10 +31,17 @@ def maximum_matching(adjacency, n_right: int):
 
     adjacency[i] is the sorted list of right vertices available to left
     vertex i.  Returns (size, match) where match[i] is the right vertex
-    matched to left i, or None.
+    matched to left i, or None.  An augmenting path recurses once per left
+    vertex on it, so one deeper than the recursion limit is refused.
     """
     match_right = [None] * n_right
-    for i in range(len(adjacency)):
-        augment(adjacency, i, match_right, set())
+    try:
+        for i in range(len(adjacency)):
+            augment(adjacency, i, match_right, set())
+    except RecursionError:
+        raise GuardExceeded(
+            f"maximum_matching guard: an augmenting path is deeper than the recursion limit "
+            f"({sys.getrecursionlimit()} frames)"
+        ) from None
     match = {i: j for j, i in enumerate(match_right) if i is not None}
     return len(match), [match.get(i) for i in range(len(adjacency))]

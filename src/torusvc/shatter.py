@@ -6,10 +6,11 @@ the points is empty or a cyclic run of tied point groups.  A box realizes
 the AND of one trace per dimension, a cube the same AND over the arcs of
 one edge length, and a stripe a single trace.  _closure builds these ANDs
 one dimension at a time: level j maps each AND of one trace from each of
-the first j+1 tables to the first (previous mask, trace) pair that gives
-it, walking the previous level in insertion order and each table in table
-order.  Growth counts and vcsearch read the keys of the last level.
-shatter_report reads a shattered set's witnesses off the back-pointers;
+the first j+1 tables to the first choice of those traces that gives it,
+walking the previous level in insertion order and each table in table
+order, and keeps only the level it is building and the one before.
+Growth counts and vcsearch read the keys of the last level.
+shatter_report reads a shattered set's witnesses off the stored choices;
 the oracles, and shatter_report for its first 2^(n-8) masks, find the
 same witness of one mask without the closure.  The first-seen rule makes
 each witness a function of the point set alone, and covered_mask
@@ -176,25 +177,24 @@ def _components(denom: int, prefix: tuple, family: Family):
     return g, False, [(j, (table,)) for j, table in enumerate(tables)]
 
 
-def _closure(tables, full: Mask) -> list:
-    """Per table, {mask: (prev_mask, trace)}: every AND of full with one
-    trace of each table so far, keyed to the first pair that gives it."""
-    levels, prev = [], (full,)
+def _closure(tables, full: Mask) -> dict:
+    """{mask: traces}: every AND of full with one trace of each table,
+    keyed to the first choice of traces, one per table, that gives it."""
+    prev = {full: ()}
     for table in tables:
         cur = {}
-        for r in prev:
+        for r, traces in prev.items():
             for trace in table:
                 m = r & trace
                 if m not in cur:
-                    cur[m] = (r, trace)
-        levels.append(cur)
+                    cur[m] = traces + (trace,)
         prev = cur
-    return levels
+    return prev
 
 
 def realizable_masks(cols: tuple, denom: int, family: Family) -> set:
     """The masks the family realizes on the points with integer view cols
-    (numerators over denom): the keys of the last level of each closure,
+    (numerators over denom): the keys of each closure,
     united until all 2^n are present.  The tables are built afresh and
     left out of the oracles' caches."""
     return _realized(prefix_table(cols), denom, family)
@@ -205,7 +205,7 @@ def _realized(prefix: tuple, denom: int, family: Family) -> set:
     full = prefix[0][1][-1]
     masks = set()
     for _, tables in _components(denom, prefix, family)[2]:
-        masks.update(_closure(tables, full)[-1])
+        masks.update(_closure(tables, full))
         if len(masks) > full:
             break
     return masks
@@ -273,17 +273,14 @@ def _first_ends(components, full: Mask, mask: Mask):
 
 
 def _all_ends(components, full: Mask) -> dict:
-    """{mask: (label, arc ends)} for every mask the closures hold, each
-    walked back from the first closure holding it, stopping at 2^n masks."""
+    """{mask: (label, arc ends)} for every mask the closures hold, read off
+    its choice of traces in the first closure holding it, stopping at 2^n
+    masks."""
     found = {}
     for label, tables in components:
-        levels = _closure(tables, full)
-        for mask in levels[-1].keys() - found.keys():
-            ends, m = [], mask
-            for level, table in zip(reversed(levels), reversed(tables)):
-                m, trace = level[m]
-                ends.append(table[trace])
-            found[mask] = label, tuple(reversed(ends))
+        for mask, traces in _closure(tables, full).items():
+            if mask not in found:
+                found[mask] = label, tuple(table[t] for table, t in zip(tables, traces))
         if len(found) > full:
             break
     return found

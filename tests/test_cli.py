@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import io
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -413,6 +414,36 @@ def test_sampled_lift_certificate_needs_sampled(tmp_path):
     assert (code, out) == (1, "")
     assert "pass --sampled" in err
     assert cli("verify-cert", lifted, cert, "--sampled") == (0, "verified 9 masks\n", "")
+
+
+def test_certify_lift_refuses_a_matching_deeper_than_the_recursion_limit(tmp_path):
+    # every row reads 0 1 0 1 ..., so each row's augmenting path runs back
+    # through every row matched before it; the recursion limit is lowered
+    # to keep the matrix small
+    base = str(tmp_path / "base.txt")
+    assert cli("stripes-build", "--n", "1", "--l", "1/2", "-o", base)[0] == 0
+    matrix = tmp_path / "matrix.txt"
+    write_matrix(SymbolMatrix(((0, 1) * 150,) * 200, 2), matrix)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        code, out, err = cli("certify-lift", "--points", base, "--matrix", str(matrix),
+                             "--l", "1/2", "--sample", "1", "--seed", "0",
+                             "-o", str(tmp_path / "cert.txt"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: maximum_matching guard: an augmenting path is deeper")
+    assert err.count("\n") == 1
+
+
+def test_certify_lift_refuses_a_sample_past_the_guard(tmp_path, monkeypatch):
+    # a range stands in for a drawn sample of 2^24 + 1 masks
+    base, matrix = write_lift_inputs(tmp_path)
+    monkeypatch.setattr(cli_module, "sample_masks", lambda n, count, seed: range(count))
+    assert cli("certify-lift", "--points", base, "--matrix", matrix, "--l", "1/2",
+               "--sample", str((1 << 24) + 1), "-o", str(tmp_path / "cert.txt")) == (
+        3, "", "refused: verify_lift guard: more than 2^24 masks\n")
 
 
 # SHA-256 of the certificates certify-lift wrote before its cube witnesses

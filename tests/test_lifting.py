@@ -56,7 +56,7 @@ def test_lift_input_validation():
 
 def test_exhaustive_verification_passes():
     inst = worked_instance()
-    report = verify_lift(inst, "exhaustive")
+    report = verify_lift(inst, range(1 << len(inst.lifted)))
     assert report.ok
     assert report.checked == 64
 
@@ -112,8 +112,9 @@ def test_cube_oracle_agrees():
 
 def test_sample_mode_and_vacuous_pass():
     inst = worked_instance()
-    assert verify_lift(inst, "sample", sample=0).ok
-    report = verify_lift(inst, "sample", sample=10, seed=3)
+    assert verify_lift(inst, sample_masks(6, 0, 3)).ok
+    # the sample draws mask 60 twice; checked counts every draw
+    report = verify_lift(inst, sample_masks(6, 10, 3))
     assert report.ok and report.checked == 10
     assert sample_masks(6, 10, 3) == sample_masks(6, 10, 3)
 
@@ -125,7 +126,7 @@ def test_corrupted_matrix_reports_failures():
     bad = SymbolMatrix((row, row), 4)
     assert not check_extraction(bad, "exhaustive").holds
     inst = lift_points(base, bad, F(1, 2))
-    report = verify_lift(inst, "exhaustive")
+    report = verify_lift(inst, range(1 << len(inst.lifted)))
     assert not report.ok
 
 
@@ -133,10 +134,14 @@ def test_exhaustive_guard():
     base = build_stripe_shattered_set(2, F(1, 2))
     rows = tuple((0, 1, 2, 3, 0, 1, 2, 3) for _ in range(9))
     inst = lift_points(base, SymbolMatrix(rows, 4), F(1, 2))
-    with pytest.raises(GuardExceeded):
-        verify_lift(inst, "exhaustive")
-    with pytest.raises(ValueError):
-        verify_lift(inst, "turbo")
+    assert len(inst.lifted) == 27
+    with pytest.raises(GuardExceeded, match="^verify_lift guard: more than 2\\^24 masks$"):
+        verify_lift(inst, range(1 << 27))
+    # the guard counts masks, not points: one mask past 2^24 is refused,
+    # and a range too long for len() is refused too
+    for masks in (range((1 << 24) + 1), range(1 << 100)):
+        with pytest.raises(GuardExceeded):
+            verify_lift(inst, masks)
 
 
 def test_mask_out_of_range():
@@ -184,7 +189,7 @@ def test_cube_witness_matches_fraction_reference(make):
 
 
 def test_verify_lift_lists_each_failing_mask():
-    report = verify_lift(unshattered_instance(), "exhaustive")
+    report = verify_lift(unshattered_instance(), range(64))
     assert report.checked == 64
     assert report.failures == [
         0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 17, 18, 19, 20, 21, 22, 23, 24, 26, 28,
@@ -205,7 +210,7 @@ def test_base_stripe_runs_once_per_base_subset(make, monkeypatch):
     monkeypatch.setattr(lifting, "_base_stripe", counted)
     inst = make()
     for _ in range(2):
-        verify_lift(inst, "exhaustive")
+        verify_lift(inst, range(1 << len(inst.lifted)))
     assert len(calls) == len(set(calls)) <= 1 << len(inst.base)
 
 
@@ -216,7 +221,7 @@ def test_base_stripe_scan_reads_every_dimension():
     stripe = scan_stripe(base, 0b1, F(1, 2))
     assert (stripe.anchor_dim, stripe.arc.start, stripe.arc.end) == (1, F(1, 4), F(3, 4))
     inst = lift_points(base, SymbolMatrix(((0, 1),), 2), F(1, 2))
-    report = verify_lift(inst, "exhaustive")
+    report = verify_lift(inst, range(1 << len(inst.lifted)))
     assert (report.checked, report.failures) == (2, [])
 
 

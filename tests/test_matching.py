@@ -1,6 +1,10 @@
 import random
+import sys
+
+import pytest
 
 from reference_lift import deficient_set
+from torusvc.errors import GuardExceeded
 from torusvc.matching import maximum_matching
 
 
@@ -58,3 +62,17 @@ def test_random_instances_hall_consistency():
                 nbhd |= set(adjacency[r])
             assert nbhd <= set(cols)
             assert len(cols) < len(rows)
+
+
+def chain(n):
+    """Row i may take column i - 1 or i: row i's augmenting path runs back
+    through every row before it."""
+    return [[0]] + [[i - 1, i] for i in range(1, n)]
+
+
+def test_a_path_deeper_than_the_recursion_limit_is_refused():
+    limit = sys.getrecursionlimit()
+    with pytest.raises(GuardExceeded, match="^maximum_matching guard: an augmenting path is deeper"):
+        maximum_matching(chain(limit + 500), limit + 500)
+    size, match = maximum_matching(chain(limit * 9 // 10), limit * 9 // 10)
+    assert size == limit * 9 // 10 and match == list(range(size))

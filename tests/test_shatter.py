@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import reference_closure
 import torusvc
 from torusvc import shatter, vcsearch
 from bruteforce import (
@@ -268,11 +269,13 @@ def witness_digest(witnesses):
 ], ids=["boxes", "cubes", "stripes-any", "stripes-2/5"])
 def test_one_mask_search_finds_the_witness_of_the_closure(family):
     # the oracles and the first masks of shatter_report search one mask at
-    # a time; they must name the (closure, trace) choice the closure keeps
+    # a time; they must name the (closure, trace) choice the closure keeps,
+    # which is the one the back-pointer closure walked back to
     for ps in seeded_point_sets(53, 30, 6, 3, 7):
         _, _, components = shatter._family_tables(ps.denom, ps.cols, family)
         full = (1 << len(ps)) - 1
         closure = shatter._all_ends(components, full)
+        assert closure == reference_closure._all_ends(components, full), ps
         for mask in range(full + 1):
             assert shatter._first_ends(components, full, mask) == closure.get(mask), (ps, mask)
 
@@ -361,6 +364,11 @@ def test_bruteforce_imports_only_the_torus_geometry():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert {name for name in imported if name.startswith(("torusvc", "."))} == {"torusvc.torus"}
+
+
+def test_reference_closure_imports_nothing():
+    tree = ast.parse((Path(__file__).parent / "reference_closure.py").read_text())
+    assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(tree))
 
 
 def test_package_has_no_assert_statements():
