@@ -9,7 +9,8 @@ one dimension at a time: level j maps each AND of one trace from each of
 the first j+1 tables to the first choice of those traces that gives it,
 walking the previous level in insertion order and each table in table
 order, and keeps only the level it is building and the one before.
-Growth counts and vcsearch read the keys of the last level.
+Growth counts and vcsearch need only the masks, so _realized builds the
+same levels as plain sets of masks.
 shatter_report reads a shattered set's witnesses off the stored choices;
 the oracles, and shatter_report for its first 2^(n-8) masks, find the
 same witness of one mask without the closure.  The first-seen rule makes
@@ -138,7 +139,8 @@ def _runs(denom: int, prefix: tuple) -> tuple:
         for a in range(len(values)):
             for c in range(len(values)):
                 trace = below[c + 1] ^ below[a] ^ (below[-1] if a > c else 0)
-                runs.setdefault(trace, ((4 * values[a] - 1) % g, 4 * values[c] + 1))
+                if trace not in runs:
+                    runs[trace] = (4 * values[a] - 1) % g, 4 * values[c] + 1
         tables.append(runs)
     return tuple(tables)
 
@@ -201,11 +203,15 @@ def realizable_masks(cols: tuple, denom: int, family: Family) -> set:
 
 
 def _realized(prefix: tuple, denom: int, family: Family) -> set:
-    """realizable_masks from a built prefix table."""
+    """realizable_masks from a built prefix table: the masks of each
+    closure, level by level, with no choice of traces kept."""
     full = prefix[0][1][-1]
     masks = set()
     for _, tables in _components(denom, prefix, family)[2]:
-        masks.update(_closure(tables, full))
+        level = {full}
+        for table in tables:
+            level = {r & t for r in level for t in table}
+        masks |= level
         if len(masks) > full:
             break
     return masks

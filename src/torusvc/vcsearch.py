@@ -28,6 +28,27 @@ and it is that class plus one point in one of the positions above.
 F_1 is the single one-point class, so induction on n gives every F_n, and
 the first empty F_n proves that no larger set is shattered.
 
+Lemma (orbits).  Any extension in the orbit of a configuration C is one of
+C's anchored images (canonical_class).
+Proof.  A frontier class is dense (its levels in dimension j are
+0..b_j - 1) and holds the origin, as its anchored minimum does; a tie keeps
+the levels, a gap at t shifts the levels above t up by one, so every
+extension is dense and keeps the origin.  A symmetry sending C onto it
+sends some point p to the origin, and given p, the reflections and the
+dimension permutation, that fixes the rotations: it is the anchored image
+of p.  Symmetries preserve the verdict, so shattered_frontiers scores a
+shattered orbit once, marks all its anchored images as scored, and skips
+every later extension of the same n among them.
+
+Lemma (untied point).  For n >= 2, a family realizes the n-1 points
+full minus {i} only if point i is alone at its level in some dimension.
+Proof.  Every family realizes an AND of per-dimension traces (a stripe a
+single one), and each trace is empty, full, or a cyclic run of tied
+groups, so a union of whole tied groups.  An AND equal to full minus {i}
+needs a trace holding every point but i, and a union of tied groups is
+that only when i is alone in its group.  So _shattered answers False,
+before any closure, when some point is tied in every dimension.
+
 Cubes and stripes of one fixed length are subfamilies of boxes and of
 stripes of any length, whose value U bounds theirs from above; but their
 verdicts depend on distances, not only on the order type.  vc_exact
@@ -45,6 +66,7 @@ from .errors import GuardExceeded, PostconditionError, VCBracket
 from .shatter import (
     BOXES,
     CUBES,
+    GROWTH_GUARD_N,
     STRIPES_ANY,
     STRIPES_FIXED,
     Family,
@@ -101,6 +123,49 @@ def enumerate_configs(d: int, n: int, frontier):
                 yield tuple(levels for levels, _ in choice)
 
 
+def _pack(cols, n: int) -> int:
+    """The sorted points of the columns cols, levels below n, as one int:
+    a point is its base-n digits, the sorted points base-n^d digits, so on
+    configurations of one n and d the order of the ints is the
+    lexicographic order of the sorted point tuples."""
+    points = [0] * n
+    for col in cols:
+        points = [c * n + x for c, x in zip(points, col)]
+    code, base = 0, n ** len(cols)
+    for c in sorted(points):
+        code = code * base + c
+    return code
+
+
+def _unpack(code: int, n: int, d: int) -> tuple:
+    """The sorted tuple of points that _pack packed into code: its n·d
+    base-n digits, d per point."""
+    digits = []
+    for _ in range(n * d):
+        code, x = divmod(code, n)
+        digits.append(x)
+    digits.reverse()
+    return tuple(tuple(digits[i:i + d]) for i in range(0, n * d, d))
+
+
+def _images(levels) -> set:
+    """The packed (see _pack) anchored images of a configuration: its
+    dense-ranked levels, reflected per dimension, rotated so that one point
+    sits at the origin, and its dimensions put in every order."""
+    n = len(levels[0])
+    dense = []
+    for col in levels:
+        rank = {v: r for r, v in enumerate(sorted(set(col)))}
+        dense.append(([rank[v] for v in col], len(rank)))
+    return {
+        _pack(cols, n)
+        for p in range(n)
+        for signs in itertools.product((1, -1), repeat=len(dense))
+        for cols in itertools.permutations(
+            [[s * (x - col[p]) % b for x in col] for (col, b), s in zip(dense, signs)])
+    }
+
+
 def canonical_class(levels) -> tuple:
     """The class of a configuration: the minimum, over dimension
     permutations and per-dimension rotations and reflections of the
@@ -117,28 +182,26 @@ def canonical_class(levels) -> tuple:
     the reflections and the permutation, one rotation per dimension sends
     p to 0.
     """
-    dense = []
-    for col in levels:
-        rank = {v: r for r, v in enumerate(sorted(set(col)))}
-        dense.append(([rank[v] for v in col], len(rank)))
-    return min(
-        tuple(sorted(zip(*cols)))
-        for p in range(len(levels[0]))
-        for signs in itertools.product((1, -1), repeat=len(dense))
-        for cols in itertools.permutations(
-            [tuple(s * (x - col[p]) % b for x in col) for (col, b), s in zip(dense, signs)])
-    )
+    return _unpack(min(_images(levels)), len(levels[0]), len(levels))
 
 
 def _shattered(levels, family: Family) -> bool:
-    return len(realizable_masks(levels, len(levels[0]), family)) == 1 << len(levels[0])
+    """Whether the family shatters the configuration, answered False
+    before the closure when some point is tied in every dimension (the
+    untied-point lemma)."""
+    n = len(levels[0])
+    if len({i for col in levels for i, x in enumerate(col) if col.count(x) == 1}) < n:
+        return False
+    return len(realizable_masks(levels, n, family)) == 1 << n
 
 
 def shattered_frontiers(d: int, family: Family, n_max: int) -> list:
     """[F_1, F_2, ...]: the sorted frontiers of shattered classes of the
     boxes or any-length stripes, up to n_max or the last nonempty one.
-    Extensions holding the same points in another order share a verdict,
-    so each point multiset is scored once per n."""
+    Each candidate is keyed by its packed sorted points.  A shattered one
+    marks its whole orbit, its anchored images, as scored, and its class is
+    their minimum; so by the orbit lemma each shattered orbit is scored
+    once per n, and each other point multiset once."""
     if family.kind not in (BOXES, STRIPES_ANY):
         raise ValueError(f"order type does not decide the verdict of {family.kind}")
     if n_max < 1:
@@ -146,16 +209,20 @@ def shattered_frontiers(d: int, family: Family, n_max: int) -> list:
     _check_size(d, 1)
     frontiers = [[((0,) * d,)]]  # F_1: one point, at the origin in every dimension
     for n in range(2, n_max + 1):
-        scored, found = set(), set()
+        scored, found = set(), []
         for levels in enumerate_configs(d, n, frontiers[-1]):
-            points = tuple(sorted(zip(*levels)))
-            if points not in scored:
-                scored.add(points)
-                if _shattered(levels, family):
-                    found.add(canonical_class(levels))
+            key = _pack(levels, n)
+            if key in scored:
+                continue
+            if _shattered(levels, family):
+                images = _images(levels)
+                scored |= images
+                found.append(min(images))
+            else:
+                scored.add(key)
         if not found:
             break
-        frontiers.append(sorted(found))
+        frontiers.append([_unpack(code, n, d) for code in sorted(found)])
     return frontiers
 
 
@@ -203,10 +270,14 @@ def search_shattered(d: int, n: int, budget: int, seed: int):
     decrease the number of realizable masks.  Any returned configuration is
     re-certified through shatter_report, so the result needs no trust in
     the search (PostconditionError if it fails).  Returns (PointSet,
-    certificate map), or None when the budget runs out.
+    certificate map), or None when the budget runs out.  Each score counts
+    a full closure, so n > GROWTH_GUARD_N is refused, as growth_count
+    refuses it.
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
+    if n > GROWTH_GUARD_N:
+        raise GuardExceeded(f"search_shattered guard: n={n} > {GROWTH_GUARD_N}")
     rng = random.Random(seed)
     levels = [[rng.randrange(n) for _ in range(n)] for _ in range(d)]
     want = 1 << n

@@ -36,21 +36,22 @@ def _intersect_dims(ps, arc_masks):
     return cur
 
 
-def closed_arc_masks(ps, j):
-    """Coverage masks of every closed quarter-grid arc in dimension j."""
+def quarter_arc_masks(ps, j, closed=True):
+    """Coverage masks of every quarter-grid arc in dimension j, closed or
+    open."""
     g = 4 * ps.denom
     masks = set()
     for t1 in range(g):
         for t2 in range(g):
             if t1 == t2:
                 continue
-            masks.add(_coverage(ps, j, Arc(Fraction(t1, g), Fraction(t2, g))))
+            masks.add(_coverage(ps, j, Arc(Fraction(t1, g), Fraction(t2, g), closed)))
     return masks
 
 
 def brute_box_masks(ps):
     """All subsets realizable by boxes, by exhaustive arc enumeration."""
-    return _intersect_dims(ps, lambda j: closed_arc_masks(ps, j))
+    return _intersect_dims(ps, lambda j: quarter_arc_masks(ps, j))
 
 
 def fixed_length_arc_masks(ps, j, edge):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from torusvc import cli as cli_module
-from torusvc import extraction
+from torusvc import extraction, vcsearch
 from torusvc.cli import run
 from torusvc.extraction import SymbolMatrix, superdiagonal_matrix
 from torusvc.fileio import read_points, write_matrix, write_points
@@ -469,6 +469,18 @@ def test_certify_lift_certificate_bytes_are_pinned(tmp_path, name):
     assert cli("certify-lift", "--points", base, "--matrix", matrix, "--l", "1/2",
                "-o", str(cert)) == (0, f"certified {masks} masks\n", "")
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == CERTIFICATE_SHA256[name]
+
+
+def test_search_refuses_more_points_than_a_growth_count(monkeypatch):
+    # the guard's own size is still searched
+    assert cli("search", "--d", "1", "--n", "20", "--budget", "0")[0] == 1
+
+    def scored(*args):
+        raise AssertionError("search built a closure")
+
+    monkeypatch.setattr(vcsearch, "realizable_masks", scored)
+    assert cli("search", "--d", "8", "--n", "30", "--budget", "1") == (
+        3, "", "refused: search_shattered guard: n=30 > 20\n")
 
 
 def test_search_rejects_nonpositive_sizes():

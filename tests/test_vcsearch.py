@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import reference_canonical
 import reference_enumeration
-from bruteforce import fine_growth
+from bruteforce import brute_box_masks, fine_growth, quarter_arc_masks
 
 from torusvc import shatter, vcsearch
 from torusvc.errors import GuardExceeded, PostconditionError, VCBracket
@@ -58,10 +58,8 @@ def test_run_masks_agrees_with_geometry():
     # in one dimension the box masks are the run masks read from the prefix
     # table; they must equal the arc-coverage masks of the realized
     # configuration, computed geometrically
-    from bruteforce import closed_arc_masks
-
     for levels in itertools.product(range(4), repeat=4):
-        geometric = closed_arc_masks(realize((levels,)), 0) | {0, 0b1111}
+        geometric = quarter_arc_masks(realize((levels,)), 0) | {0, 0b1111}
         assert box_masks((levels,), 4) == geometric
 
 
@@ -234,15 +232,70 @@ def test_frontiers_score_each_point_multiset_once_per_n(monkeypatch):
     shattered = vcsearch._shattered
 
     def recorded(levels, family):
-        scored.append((len(levels[0]), tuple(sorted(zip(*levels)))))
-        return shattered(levels, family)
+        verdict = shattered(levels, family)
+        scored.append((len(levels[0]), tuple(sorted(zip(*levels))), verdict,
+                       reference_canonical.canonical_class(levels)))
+        return verdict
 
     monkeypatch.setattr(vcsearch, "_shattered", recorded)
     frontiers = shattered_frontiers(2, Family(BOXES), 7)
     assert [len(f) for f in frontiers] == [1, 2, 3, 6, 8, 6]  # and F_7 is empty
-    assert len(set(scored)) == len(scored)
-    per_n = [sum(1 for m, _ in scored if m == n) for n in range(1, 8)]
-    assert per_n == [0, 3, 12, 42, 182, 502, 636]  # F_1 is seeded
+    assert len({(n, points) for n, points, _, _ in scored}) == len(scored)
+    per_n = [sum(1 for m, _, _, _ in scored if m == n) for n in range(1, 8)]
+    assert per_n == [0, 2, 6, 25, 129, 446, 636]  # F_1 is seeded
+    # a shattered orbit is scored once: its class is never met again at its n
+    # (an orbit that is not shattered marks only its own point multiset)
+    shattered_orbits = [(n, cls) for n, _, verdict, cls in scored if verdict]
+    assert len(set(shattered_orbits)) == len(shattered_orbits)
+    for n, frontier in enumerate(frontiers[1:], start=2):
+        assert sorted(cls for m, cls in shattered_orbits if m == n) == frontier
+    assert not [cls for n, _, verdict, cls in scored if not verdict and (n, cls) in shattered_orbits]
+
+
+def _reference_frontiers(d, family, n_max):
+    """The per-candidate loop the orbit marking replaced: each point
+    multiset scored by its full closure, each shattered one canonicalized."""
+    frontiers = [[((0,) * d,)]]
+    for n in range(2, n_max + 1):
+        scored, found = set(), set()
+        for levels in enumerate_configs(d, n, frontiers[-1]):
+            points = tuple(sorted(zip(*levels)))
+            if points not in scored:
+                scored.add(points)
+                if len(realizable_masks(levels, n, family)) == 1 << n:
+                    found.add(reference_canonical.canonical_class(levels))
+        if not found:
+            break
+        frontiers.append(sorted(found))
+    return frontiers
+
+
+def test_orbit_marking_keeps_the_per_candidate_frontiers_in_space(monkeypatch):
+    monkeypatch.setattr(vcsearch, "ENUM_GUARD_D", 3)
+    frontiers = shattered_frontiers(3, Family(BOXES), 4)
+    assert [len(f) for f in frontiers] == [1, 3, 8, 46]
+    assert frontiers == _reference_frontiers(3, Family(BOXES), 4)
+
+
+@pytest.mark.parametrize("kind", [BOXES, STRIPES_ANY])
+def test_all_but_one_point_is_realizable_iff_that_point_is_untied(kind):
+    # the untied-point lemma of vcsearch, and its converse, against the
+    # quarter-grid brute force
+    rng = random.Random(29)
+    for _ in range(40):
+        d, n = rng.randint(1, 3), rng.randint(2, 6)
+        levels = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(d))
+        ps = realize(levels)
+        if kind == BOXES:
+            masks = brute_box_masks(ps)
+        else:
+            masks = {m for j in range(d) for m in quarter_arc_masks(ps, j, closed=False)}
+        full = (1 << n) - 1
+        for i in range(n):
+            untied = any(col.count(col[i]) == 1 for col in levels)
+            assert (full ^ 1 << i in masks) == untied, (levels, i)
+            if not untied:
+                assert not vcsearch._shattered(levels, Family(kind))
 
 
 def test_distance_dependent_families_need_a_witness_at_the_superfamily_value():
