@@ -45,6 +45,10 @@ LN2_LO/2^K <= ln 2 <= LN2_HI/2^K.  If the bracket straddles 0 the probe
 retries at precision 2P, and if it still does, it falls back to the exact
 big-integer comparison of the inequality above.  No float is used.
 
+The extraction requirement (q - q/k)^(qm) > q m^2 k^3, whose exact sides
+have about qm log2 k bits, is decided the same way on brackets of 2^P
+(qm log2 (q - q/k) - log2 (q m^2 k^3)).
+
 floor(log2 d) is taken via bit length.
 """
 
@@ -274,8 +278,26 @@ def choose_parameters(d: int) -> BoundParams:
     if qm.denominator != 1 or d_prime > d:
         raise PostconditionError(f"qm = {qm} is not an integer or d' = {d_prime} > d = {d}")
     condition_ok = Fraction(d, log) > 48 * (f + 2) ** 2
-    ext_req_ok = verify_ext_req(q, m, k)
+    ext_req_ok = _ext_req_holds(q, m, k)
     return BoundParams(d, f, q, m, k, c, d_prime, condition_ok, ext_req_ok)
+
+
+def _ext_req_holds(q: Fraction, m: int, k: int) -> bool:
+    """``verify_ext_req(q, m, k)`` for an integral qm, decided on brackets of
+    2^p times the sum of w log2 x over the terms (x, w); a near-tie, or
+    k = 1 where q - q/k is 0, falls back to that exact comparison."""
+    qm, base = int(q * m), q - q / k
+    terms = ((base.numerator, qm), (base.denominator, -qm), (q.numerator, -1),
+             (q.denominator, 1), (m, -2), (k, -3))
+
+    def gap(_, p):
+        lows, highs = zip(*(sorted(w * e for e in _log2_bracket(x, p)) for x, w in terms))
+        return sum(lows), sum(highs)
+
+    def exact(_):
+        return verify_ext_req(q, m, k)
+
+    return exact(None) if base == 0 else _prober(gap, _precisions(qm), exact)(None)
 
 
 def _lower_bound(d: int):
@@ -314,21 +336,12 @@ def bounds_table(d_list, reasons=None):
     """
     rows = []
     for d in d_list:
-        if d < 1:
-            raise ValueError("d must be positive")
         try:
             lower, reason = _lower_bound(d)
         except ValueError as exc:
             lower, reason = None, str(exc)
         if reason is not None and reasons is not None:
             reasons.append((d, reason))
-        rows.append(
-            (
-                d,
-                stripe_upper_bound_n(d) - 1,
-                trivial_upper_bound_n(d) - 1,
-                refined_upper_bound_n(d) - 1,
-                lower,
-            )
-        )
+        rows.append((d, stripe_upper_bound_n(d) - 1, trivial_upper_bound_n(d) - 1,
+                     refined_upper_bound_n(d) - 1, lower))
     return rows

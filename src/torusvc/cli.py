@@ -11,7 +11,7 @@ import functools
 import sys
 
 from .bounds import bounds_table
-from .errors import GuardExceeded, NotCertified, VCBracket
+from .errors import GuardExceeded, VCBracket
 from .extraction import check_extraction, sample_extraction_matrix
 from .fileio import (
     parse_rat,
@@ -23,16 +23,7 @@ from .fileio import (
     write_points,
 )
 from .lifting import cube_witness, lift_points, sample_masks, verify_lift
-from .shatter import (
-    BOXES,
-    CUBES,
-    STRIPES_ANY,
-    STRIPES_FIXED,
-    Family,
-    covered_mask,
-    growth_count,
-    shatter_report,
-)
+from .shatter import KINDS, STRIPES_FIXED, Family, covered_mask, growth_count, shatter_report
 from .stripes import build_stripe_shattered_set
 from .vcsearch import search_shattered, vc_exact
 
@@ -41,13 +32,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 STRIPES_BUILD_GUARD = 1 << 20  # coordinates stripes-build may allocate
-
-FAMILY_NAMES = {
-    "boxes": BOXES,
-    "cubes": CUBES,
-    "stripes": STRIPES_FIXED,
-    "stripes-any": STRIPES_ANY,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,14 +45,13 @@ class _UsageError(Exception):
 
 
 def _family_from_args(args) -> Family:
-    kind = FAMILY_NAMES[args.family]
-    if kind == STRIPES_FIXED:
+    if args.family == STRIPES_FIXED:
         if args.l is None:
             raise _UsageError("family 'stripes' requires --l")
-        return Family(kind, parse_rat(args.l))
+        return Family(STRIPES_FIXED, parse_rat(args.l))
     if args.l is not None:
         raise _UsageError(f"family {args.family!r} takes no --l")
-    return Family(kind)
+    return Family(args.family)
 
 
 def build_parser() -> _Parser:
@@ -78,12 +61,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("shatter", help="decide whether a family shatters a point set")
     p.add_argument("points")
-    p.add_argument("--family", choices=sorted(FAMILY_NAMES), required=True)
+    p.add_argument("--family", choices=KINDS, required=True)
     p.add_argument("--l", help="stripe length p/q (stripes family only)")
 
     p = sub.add_parser("growth", help="count realizable subsets")
     p.add_argument("points")
-    p.add_argument("--family", choices=sorted(FAMILY_NAMES), required=True)
+    p.add_argument("--family", choices=KINDS, required=True)
     p.add_argument("--l")
 
     p = sub.add_parser("stripes-build", help="build the stripe-shattered construction")
@@ -129,7 +112,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("vc-exact", help="exact VC value by augmenting shattered sets (small d)")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--family", choices=sorted(FAMILY_NAMES), default="boxes")
+    p.add_argument("--family", choices=KINDS, default="boxes")
     p.add_argument("--l")
     p.add_argument("--n-max", type=int, default=8)
 
@@ -315,7 +298,7 @@ def run(argv) -> int:
     except GuardExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (_UsageError, FileNotFoundError, NotCertified, ValueError) as exc:
+    except (_UsageError, FileNotFoundError, ValueError) as exc:
         # ValueError covers fileio.ParseError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,6 +22,7 @@ EXHAUSTIVE_GUARD = 10**7
 # the prefix search and each augmenting path recurse once per row
 EXHAUSTIVE_ROW_GUARD = 200
 WITNESS_NODE_BUDGET = 10**7
+SAMPLE_GUARD_ENTRIES = 1 << 20  # c * d entries a balanced matrix may have
 
 
 @dataclass(frozen=True)
@@ -246,6 +247,9 @@ def _balanced_matrix_from(rng, m: int, k: int, q) -> SymbolMatrix:
         raise ValueError("m and k must be positive")
     qm = _require_integral_qm(q, m)
     c = m * k
+    if c * qm * k > SAMPLE_GUARD_ENTRIES:
+        raise GuardExceeded(
+            f"balanced matrix guard: c * d = {c * qm * k} entries > {SAMPLE_GUARD_ENTRIES}")
     rows = []
     for _ in range(c):
         row = [s for s in range(k) for _ in range(qm)]

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import lcm
 
 from .extraction import SymbolMatrix
-from .torus import Arc, Box, Cube, PointSet, Stripe
+from .torus import Arc, Box, Cube, PointSet, Stripe, shape_factors
 
 
 class ParseError(ValueError):
@@ -98,18 +98,6 @@ def read_matrix(path: str) -> SymbolMatrix:
     return SymbolMatrix(tuple(rows), k)
 
 
-def _shape_kind(shape) -> str:
-    if isinstance(shape, Stripe):
-        return "stripe"
-    if isinstance(shape, Cube):
-        return "cube"
-    return "box"
-
-
-def _shape_arcs(shape) -> tuple:
-    return (shape.arc,) if isinstance(shape, Stripe) else shape.arcs
-
-
 def _scaled(arc: Arc, denom: int) -> tuple:
     """(start, length) numerators over denom, a multiple of the arc's grid q."""
     s, _, w, q = arc.grid
@@ -120,16 +108,16 @@ def write_certificate(witnesses: dict, dim: int, n_points: int, path: str) -> No
     """Serialize a mask -> shape map; all shapes must share one kind."""
     if not witnesses:
         raise ValueError("refusing to write an empty certificate")
-    kinds = {_shape_kind(s) for s in witnesses.values()}
+    kinds = {type(s).__name__.lower() for s in witnesses.values()}
     if len(kinds) != 1:
         raise ValueError(f"mixed shape kinds in certificate: {sorted(kinds)}")
     kind = kinds.pop()
     # lcm(start, end denominators) = lcm(start, length denominators): end = start + length mod 1
-    denom = lcm(*(a.grid[3] for s in witnesses.values() for a in _shape_arcs(s)))
+    denom = lcm(*(a.grid[3] for s in witnesses.values() for _, a in shape_factors(s, dim)))
     lines = [f"{dim} {n_points} {denom} {kind}"]
     for mask in sorted(witnesses):
         shape = witnesses[mask]
-        starts, lengths = zip(*(_scaled(a, denom) for a in _shape_arcs(shape)))
+        starts, lengths = zip(*(_scaled(a, denom) for _, a in shape_factors(shape, dim)))
         if kind == "stripe":
             nums, tail = [shape.anchor_dim, *starts], lengths
         else:

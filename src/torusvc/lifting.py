@@ -35,9 +35,9 @@ class LiftInstance:
     matrix: SymbolMatrix  # c x d over alphabet k
     length: Rat  # stripe length l used on the base set
     lifted: PointSet  # c*u points in T^d, group-major order
-    canonical_n: int = None  # set when base is the stripe construction
-    # cube_witness's table, made on its first call: (edge, filler arc, {base subset: cell})
-    cells: tuple = field(default=None, init=False, repr=False, compare=False)
+    canonical_n: int  # the construction's n when base is the stripe construction, else None
+    # cube_witness's table: (edge, filler arc, {base subset: cell}), cells filled on demand
+    cells: tuple = field(repr=False, compare=False)
 
 
 @dataclass
@@ -56,21 +56,14 @@ def lift_points(base: PointSet, matrix: SymbolMatrix, length: Rat) -> LiftInstan
     if not (0 < length < 1):
         raise ValueError("stripe length must lie in (0,1)")
     if base.dim != matrix.k:
-        raise ValueError(
-            f"base dimension {base.dim} != matrix alphabet size {matrix.k}"
-        )
-    c = matrix.n_rows
-    d = matrix.n_cols
+        raise ValueError(f"base dimension {base.dim} != matrix alphabet size {matrix.k}")
+    c, d = matrix.n_rows, matrix.n_cols
     scale = Fraction(1, c + 1)
-    points = []
-    for i in range(c):
-        for p in base.points:
-            points.append(
-                tuple((i + p[matrix.rows[i][n]]) * scale for n in range(d))
-            )
-    lifted = PointSet(d, (c + 1) * base.denom, tuple(points))
-    canonical_n = _detect_construction(base, length)
-    return LiftInstance(base, matrix, length, lifted, canonical_n)
+    points = tuple(tuple((i + p[s]) * scale for s in matrix.rows[i])
+                   for i in range(c) for p in base.points)
+    lifted = PointSet(d, (c + 1) * base.denom, points)
+    cells = (1 - length * scale, Arc((c + length) * scale, c * scale), {})
+    return LiftInstance(base, matrix, length, lifted, _detect_construction(base, length), cells)
 
 
 def _detect_construction(base: PointSet, length: Rat):
@@ -136,14 +129,9 @@ def cube_witness(inst: LiftInstance, subset: Mask) -> Cube:
     the point-free stripe ((c)/(c+1), (c+l)/(c+1)), and returns the cube
     whose factors are the closed complements; edge is exactly 1 - l/(c+1).
     """
-    c = inst.matrix.n_rows
-    d = inst.matrix.n_cols
-    u = len(inst.base)
+    c, d, u = inst.matrix.n_rows, inst.matrix.n_cols, len(inst.base)
     if subset < 0 or subset >> (c * u):
         raise ValueError("mask out of range for the lifted point set")
-    if inst.cells is None:
-        l, scale = inst.length, Fraction(1, c + 1)
-        object.__setattr__(inst, "cells", (1 - l * scale, Arc((c + l) * scale, c * scale), {}))
     edge, filler, memo = inst.cells
 
     # the cube is the complement of the stripe union, so the stripes must
@@ -162,8 +150,16 @@ def cube_witness(inst: LiftInstance, subset: Mask) -> Cube:
     return Cube(tuple(arcs), edge)
 
 
+def _check_guard(masks) -> None:
+    # a slice, not len: len(range(1 << n)) overflows once n >= 63
+    if masks[1 << VERIFY_GUARD_POINTS:]:
+        raise GuardExceeded(f"verify_lift guard: more than 2^{VERIFY_GUARD_POINTS} masks")
+
+
 def sample_masks(total_points: int, count: int, seed: int):
-    """A seeded sample of count masks, with repeats, for verify_lift."""
+    """A seeded sample of count masks, with repeats, for verify_lift; a
+    count past its guard is refused before any mask is drawn."""
+    _check_guard(range(count))
     rng = random.Random(seed)
     return [rng.randrange(1 << total_points) for _ in range(count)]
 
@@ -171,9 +167,7 @@ def sample_masks(total_points: int, count: int, seed: int):
 def verify_lift(inst: LiftInstance, masks) -> LiftReport:
     """Check that cube witnesses realize each of the masks: a sequence such
     as range(1 << n) for every mask, or a sample_masks draw."""
-    # a slice, not len: len(range(1 << n)) overflows once n >= 63
-    if masks[1 << VERIFY_GUARD_POINTS:]:
-        raise GuardExceeded(f"verify_lift guard: more than 2^{VERIFY_GUARD_POINTS} masks")
+    _check_guard(masks)
     failures = []
     for mask in masks:
         try:

@@ -9,8 +9,8 @@ one dimension at a time: level j maps each AND of one trace from each of
 the first j+1 tables to the first choice of those traces that gives it,
 walking the previous level in insertion order and each table in table
 order, and keeps only the level it is building and the one before.
-Growth counts and vcsearch need only the masks, so _realized builds the
-same levels as plain sets of masks.
+Growth counts and vcsearch need only the masks, so realizable_masks
+builds the same levels as plain sets of masks.
 shatter_report reads a shattered set's witnesses off the stored choices;
 the oracles, and shatter_report for its first 2^(n-8) masks, find the
 same witness of one mask without the closure.  The first-seen rule makes
@@ -53,6 +53,7 @@ from .torus import (
     Stripe,
     arc_contains,  # noqa: F401  (a binding site bench/test_bench.py checks)
     prefix_table,
+    shape_factors,
 )
 
 Mask = int
@@ -62,10 +63,11 @@ GROWTH_GUARD_N = 20
 TABLE_CACHE_SIZE = 8  # point sets (times family parameters) with cached tables
 PROBE_SHIFT = 8  # shatter_report tries 2^(n - 8) masks one at a time before the full closure
 
-BOXES = "boxes_per"
-CUBES = "cubes_per"
-STRIPES_FIXED = "stripes_fixed_length"
-STRIPES_ANY = "stripes_any"
+BOXES = "boxes"
+CUBES = "cubes"
+STRIPES_FIXED = "stripes"
+STRIPES_ANY = "stripes-any"
+KINDS = (BOXES, CUBES, STRIPES_FIXED, STRIPES_ANY)  # the CLI's --family choices
 
 
 @dataclass(frozen=True)
@@ -76,11 +78,11 @@ class Family:
     length: Rat = None
 
     def __post_init__(self):
-        if self.kind not in (BOXES, CUBES, STRIPES_FIXED, STRIPES_ANY):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.kind == STRIPES_FIXED:
             if self.length is None or not (0 < self.length < 1):
-                raise ValueError("stripes_fixed_length needs a length in (0,1)")
+                raise ValueError(f"family {self.kind} needs a length in (0,1)")
         elif self.length is not None:
             raise ValueError(f"family {self.kind} takes no length")
 
@@ -106,14 +108,8 @@ def _cover(table, s: int, e: int, m: int, closed: bool) -> Mask:
 
 def covered_mask(ps: PointSet, shape) -> Mask:
     """Bitmask of the points of ps contained in the shape."""
-    if isinstance(shape, Stripe):
-        dim, factors = shape.ambient_dim, ((shape.anchor_dim, shape.arc),)
-    else:
-        dim, factors = shape.dim, enumerate(shape.arcs)
-    if dim != ps.dim:
-        raise ValueError(f"point dimension {ps.dim} != shape dimension {dim}")
     m = (1 << len(ps)) - 1
-    for j, arc in factors:
+    for j, arc in shape_factors(shape, ps.dim):
         s, e, _, q = arc.grid
         m &= _cover(ps.prefix[j], s * ps.denom, e * ps.denom, q, arc.closed)
     return m
@@ -196,15 +192,10 @@ def _closure(tables, full: Mask) -> dict:
 
 def realizable_masks(cols: tuple, denom: int, family: Family) -> set:
     """The masks the family realizes on the points with integer view cols
-    (numerators over denom): the keys of each closure,
-    united until all 2^n are present.  The tables are built afresh and
-    left out of the oracles' caches."""
-    return _realized(prefix_table(cols), denom, family)
-
-
-def _realized(prefix: tuple, denom: int, family: Family) -> set:
-    """realizable_masks from a built prefix table: the masks of each
-    closure, level by level, with no choice of traces kept."""
+    (numerators over denom): the masks of each closure, level by level
+    with no choice of traces kept, united until all 2^n are present.  The
+    tables are built afresh and left out of the oracles' caches."""
+    prefix = prefix_table(cols)
     full = prefix[0][1][-1]
     masks = set()
     for _, tables in _components(denom, prefix, family)[2]:
@@ -384,4 +375,4 @@ def growth_count(ps: PointSet, family: Family) -> int:
     n = len(ps)
     if n > GROWTH_GUARD_N:
         raise GuardExceeded(f"growth_count guard: n={n} > {GROWTH_GUARD_N}")
-    return len(_realized(ps.prefix, ps.denom, family))
+    return len(realizable_masks(ps.cols, ps.denom, family))

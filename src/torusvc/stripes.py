@@ -32,16 +32,6 @@ def pair_rep(subset: Mask, n_points: int) -> Mask:
     return subset
 
 
-def dim_of_pair(subset: Mask, n_points: int) -> int:
-    """Dimension index carrying the pair of this subset (binary encoding)."""
-    return pair_rep(subset, n_points) >> 1
-
-
-def members_of_dim(i: int) -> Mask:
-    """The canonical subset C_i encoded back as a point mask."""
-    return i << 1
-
-
 def _check_length(l: Rat):
     l = Fraction(l)
     if not (0 < l < 1):
@@ -70,7 +60,7 @@ def build_stripe_shattered_set(n: int, l: Rat, ambient_dim: int = None) -> Point
     for p in range(n + 1):
         coords = []
         for i in range(ambient_dim):
-            if i < d and p > 0 and members_of_dim(i) >> p & 1:
+            if i < d and p > 0 and i >> (p - 1) & 1:
                 coords.append(lo)
             else:
                 coords.append(hi)
@@ -78,29 +68,17 @@ def build_stripe_shattered_set(n: int, l: Rat, ambient_dim: int = None) -> Point
     return PointSet(ambient_dim, denom, tuple(points))
 
 
-def witness_arc(target: Rat, other: Rat, l: Rat) -> Arc:
-    """Canonical open arc of length l containing target but not the other value.
-
-    target and other are the two construction values (1-l)/3 and (2+l)/3 in
-    either order.  The arc is the one centered on target, clipped into
-    [0, 1]: it never wraps past 1, which the lifting construction relies on
-    when scaling arcs into group cells.
-    """
-    l = _check_length(l)
-    if target < other:
-        start = max(Fraction(0), target - l / 2)
-    else:
-        start = min(target - l / 2, 1 - l)
-    return Arc(start, (start + l) % ONE, closed=False)
-
-
-def _avoiding_arc(lo: Rat, hi: Rat, l: Rat) -> Arc:
-    # (lo, lo + l) contains neither value: hi - lo > l and the arc is open
-    return Arc(lo, (lo + l) % ONE, closed=False)
-
-
 def stripe_witness(n: int, l: Rat, subset: Mask, ambient_dim: int = None) -> Stripe:
-    """A stripe of length l realizing the subset on the constructed set."""
+    """A stripe of length l realizing the subset on the constructed set.
+
+    It is anchored in the dimension of the subset's pair, rep >> 1, where
+    the representative sits at (1-l)/3 and its complement at (2+l)/3.  The
+    empty set takes the open arc from the low value, which holds neither
+    value since they are further than l apart; a side takes the arc
+    centered on its value, clipped into [0, 1].  So no arc wraps past 1,
+    which the lifting construction relies on when scaling arcs into group
+    cells.
+    """
     l = _check_length(l)
     n_points = n + 1
     if subset < 0 or subset >> n_points:
@@ -108,14 +86,10 @@ def stripe_witness(n: int, l: Rat, subset: Mask, ambient_dim: int = None) -> Str
     if ambient_dim is None:
         ambient_dim = 1 << n
     rep = pair_rep(subset, n_points)
-    i = rep >> 1
-    lo, hi = low_value(l), high_value(l)
-    if subset == rep:
-        # realize the side sitting at the low value
-        if subset == 0:
-            arc = _avoiding_arc(lo, hi, l)
-        else:
-            arc = witness_arc(lo, hi, l)
+    if subset == 0:
+        start = low_value(l)
+    elif subset == rep:
+        start = max(Fraction(0), low_value(l) - l / 2)
     else:
-        arc = witness_arc(hi, lo, l)
-    return Stripe(i, arc, ambient_dim)
+        start = min(high_value(l) - l / 2, 1 - l)
+    return Stripe(rep >> 1, Arc(start, (start + l) % ONE, closed=False), ambient_dim)

@@ -128,25 +128,22 @@ class Stripe:
             raise ValueError("stripe cross-section must be an open arc")
 
 
-def box_contains(box: Box, p) -> bool:
-    if len(p) != box.dim:
-        raise ValueError(f"point dimension {len(p)} != box dimension {box.dim}")
-    return all(arc_contains(a, x) for a, x in zip(box.arcs, p))
-
-
-def stripe_contains(s: Stripe, p) -> bool:
-    if len(p) != s.ambient_dim:
-        raise ValueError(
-            f"point dimension {len(p)} != stripe ambient dimension {s.ambient_dim}"
-        )
-    return arc_contains(s.arc, p[s.anchor_dim])
+def shape_factors(shape, dim: int):
+    """(j, arc) for each dimension j the shape constrains: every dimension
+    of a box or a cube, the anchor of a stripe.  The shape's dimension must
+    be the points' dim."""
+    if isinstance(shape, Stripe):
+        shape_dim, factors = shape.ambient_dim, ((shape.anchor_dim, shape.arc),)
+    else:
+        shape_dim, factors = shape.dim, enumerate(shape.arcs)
+    if shape_dim != dim:
+        raise ValueError(f"point dimension {dim} != shape dimension {shape_dim}")
+    return factors
 
 
 def shape_contains(shape, p) -> bool:
     """Containment for any of Box, Cube, Stripe."""
-    if isinstance(shape, Stripe):
-        return stripe_contains(shape, p)
-    return box_contains(shape, p)
+    return all(arc_contains(arc, p[j]) for j, arc in shape_factors(shape, len(p)))
 
 
 def prefix_table(cols: tuple) -> tuple:

@@ -234,6 +234,16 @@ def _rotations(cls):
         yield tuple(tuple((x + r) % (max(col) + 1) for x in col) for col, r in zip(cols, rotation))
 
 
+def _rechecked(levels, family: Family):
+    """(PointSet, certificate map) of a configuration found shattered,
+    once shatter_report confirms it (PostconditionError if not)."""
+    ps = realize(levels)
+    report = shatter_report(ps, family)
+    if not report.shattered:
+        raise PostconditionError(f"the configuration found for n={len(ps)} fails its re-check")
+    return ps, report.witnesses
+
+
 def vc_exact(d: int, family: Family, n_max: int):
     """min(VC, n_max): the largest n <= n_max admitting a shattered set.
 
@@ -254,13 +264,10 @@ def vc_exact(d: int, family: Family, n_max: int):
         value, witness = next(
             (n, levels) for n in range(upper, 0, -1)
             for cls in frontiers[n - 1] for levels in _rotations(cls) if _shattered(levels, family))
-    ps = realize(witness)
-    report = shatter_report(ps, family)
-    if not report.shattered:
-        raise PostconditionError(f"the configuration found for n={value} fails its re-check")
+    ps, witnesses = _rechecked(witness, family)
     if value < upper:
         raise VCBracket(value, upper)
-    return value, ps, report.witnesses
+    return value, ps, witnesses
 
 
 def search_shattered(d: int, n: int, budget: int, seed: int):
@@ -296,8 +303,4 @@ def search_shattered(d: int, n: int, budget: int, seed: int):
             levels[j][p] = old
     if score != want:
         return None
-    ps = realize(levels)
-    report = shatter_report(ps, Family(BOXES))
-    if not report.shattered:
-        raise PostconditionError(f"the configuration found for n={n} fails its re-check")
-    return ps, report.witnesses
+    return _rechecked(levels, Family(BOXES))

@@ -21,6 +21,7 @@ from torusvc.bounds import (
     trivial_upper_bound_n,
 )
 from torusvc.errors import NotCertified
+from torusvc.extraction import verify_ext_req
 
 F = Fraction
 
@@ -94,6 +95,41 @@ def test_choose_parameters_worked_value():
     assert params.d_prime <= 1 << 20
     assert params.condition_ok
     assert params.ext_req_ok
+
+
+def test_extraction_requirement_on_brackets_matches_the_exact_check(monkeypatch):
+    # the brackets decide every d with k >= 2; k = 1 makes q - q/k zero,
+    # which only the exact check takes
+    exact = []
+
+    def counted(q, m, k):
+        exact.append(k)
+        return verify_ext_req(q, m, k)
+
+    monkeypatch.setattr(bounds, "verify_ext_req", counted)
+    ds = [*range(2, 5000), *range(1 << 13, 1 << 15, 37), *(1 << e for e in range(15, 41)),
+          10**6, 10**9, 3**20]
+    checked = 0
+    for d in ds:
+        try:
+            params = choose_parameters(d)
+        except ValueError:
+            continue
+        assert params.ext_req_ok == verify_ext_req(params.q, params.m, params.k), d
+        checked += 1
+    assert checked > 500 and set(exact) == {1}
+
+
+def test_extraction_requirement_brackets_agree_on_both_sides_of_it():
+    # small q, m, k, where the requirement flips and its sides are near
+    cases = held = 0
+    for q in (F(2), F(3, 2), F(4, 3), F(5, 4), F(7, 6)):
+        for m in range(q.denominator, 43, q.denominator):
+            for k in range(1, 49):
+                want = verify_ext_req(q, m, k)
+                assert bounds._ext_req_holds(q, m, k) == want, (q, m, k)
+                cases, held = cases + 1, held + want
+    assert (cases, held) == (4512, 1651)
 
 
 def test_lower_bound_worked_value():

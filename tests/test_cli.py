@@ -2,8 +2,10 @@ import argparse
 import hashlib
 import inspect
 import io
+import random
 import re
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -11,9 +13,10 @@ import pytest
 
 from torusvc import cli as cli_module
 from torusvc import extraction, vcsearch
-from torusvc.cli import run
+from torusvc.cli import build_parser, run
 from torusvc.extraction import SymbolMatrix, superdiagonal_matrix
 from torusvc.fileio import read_points, write_matrix, write_points
+from torusvc.shatter import KINDS, Family
 from torusvc.torus import PointSet
 
 F = Fraction
@@ -299,6 +302,23 @@ def test_vc_exact_prints_no_value_below_the_superfamily_value():
         1, "", "1 <= VC <= 3\n")
 
 
+def test_family_choices_are_the_family_kinds():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command in ("shatter", "growth", "vc-exact"):
+        family = next(a for a in subparsers.choices[command]._actions if a.dest == "family")
+        assert family.choices == KINDS
+    assert KINDS == ("boxes", "cubes", "stripes", "stripes-any")
+    for kind in KINDS:
+        assert Family(kind, F(1, 2) if kind == "stripes" else None).kind == kind
+
+
+def test_stripes_length_outside_the_unit_interval_is_a_usage_error(tmp_path):
+    points = write_demo_points(tmp_path)
+    assert cli("shatter", points, "--family", "stripes", "--l", "2") == (
+        2, "", "error: family stripes needs a length in (0,1)\n")
+
+
 def test_vc_exact_rejects_l_outside_stripes():
     code, out, err = cli("vc-exact", "--d", "1", "--family", "boxes", "--l", "1/2")
     assert (code, out) == (2, "")
@@ -444,6 +464,44 @@ def test_certify_lift_refuses_a_sample_past_the_guard(tmp_path, monkeypatch):
     assert cli("certify-lift", "--points", base, "--matrix", matrix, "--l", "1/2",
                "--sample", str((1 << 24) + 1), "-o", str(tmp_path / "cert.txt")) == (
         3, "", "refused: verify_lift guard: more than 2^24 masks\n")
+
+
+
+def test_certify_lift_refuses_a_large_sample_before_drawing_it(tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("a mask was drawn")
+
+    base, matrix = write_lift_inputs(tmp_path)
+    monkeypatch.setattr(random.Random, "randrange", never)
+    assert cli("certify-lift", "--points", base, "--matrix", matrix, "--l", "1/2",
+               "--sample", str((1 << 24) + 1), "-o", str(tmp_path / "cert.txt")) == (
+        3, "", "refused: verify_lift guard: more than 2^24 masks\n")
+
+
+def test_extract_sample_refuses_a_matrix_past_the_guard(tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("a row was drawn")
+
+    out_path = tmp_path / "m.txt"
+    monkeypatch.setattr(random.Random, "shuffle", never)
+    assert cli("extract-sample", "--m", "1000", "--k", "1000", "--q", "1", "-o", str(out_path)) == (
+        3, "", "refused: balanced matrix guard: c * d = 1000000000000 entries > 1048576\n")
+    assert not out_path.exists()
+    monkeypatch.undo()
+    # c * d = 4 * 8 entries: refused above a guard of 31, sampled at 32
+    monkeypatch.setattr(extraction, "SAMPLE_GUARD_ENTRIES", 31)
+    argv = ("extract-sample", "--m", "2", "--k", "2", "--q", "2", "-o", str(out_path))
+    assert cli(*argv)[0] == 3
+    monkeypatch.setattr(extraction, "SAMPLE_GUARD_ENTRIES", 32)
+    assert cli(*argv)[0] == 0
+
+
+def test_bounds_at_astronomical_d_is_fast():
+    start = time.perf_counter()
+    code, out, _ = cli("bounds", "--d-list", f"{1 << 100},{1 << 200}")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert [line.split("\t")[0] for line in out.splitlines()[1:]] == [str(1 << 100), str(1 << 200)]
 
 
 # SHA-256 of the certificates certify-lift wrote before its cube witnesses

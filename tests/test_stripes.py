@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -5,13 +6,10 @@ import pytest
 from torusvc.shatter import covered_mask
 from torusvc.stripes import (
     build_stripe_shattered_set,
-    dim_of_pair,
     high_value,
     low_value,
-    members_of_dim,
     pair_rep,
     stripe_witness,
-    witness_arc,
 )
 from torusvc.torus import arc_contains, arc_length
 
@@ -37,7 +35,8 @@ def test_pair_encoding_roundtrip():
         rep = pair_rep(subset, n_points)
         assert not rep & 1  # point 0 never in the representative
         assert rep in (subset, ~subset & 0b1111)
-        assert members_of_dim(dim_of_pair(subset, n_points)) == rep
+        # the pair's dimension i carries C_i = i << 1
+        assert stripe_witness(n_points - 1, F(1, 2), subset).anchor_dim << 1 == rep
 
 
 def test_construction_shape():
@@ -46,7 +45,7 @@ def test_construction_shape():
     assert len(ps) == 4
     lo, hi = low_value(F(1, 2)), high_value(F(1, 2))
     for i in range(8):
-        members = members_of_dim(i)
+        members = i << 1
         for p in range(4):
             want = lo if members >> p & 1 else hi
             assert ps.points[p][i] == want
@@ -62,20 +61,25 @@ def test_construction_rejects_bad_input():
 
 
 def test_witness_arc_contains_target_only_and_never_wraps():
+    n = 2
     for l in LENGTHS:
         lo, hi = low_value(l), high_value(l)
-        for target, other in ((lo, hi), (hi, lo)):
-            arc = witness_arc(target, other, l)
+        for subset in range(1 << (n + 1)):
+            arc = stripe_witness(n, l, subset).arc
             assert arc_length(arc) == l
-            assert arc_contains(arc, target)
-            assert not arc_contains(arc, other)
             assert arc.start + l <= 1  # no wrap past 1
+            if subset == 0:
+                assert not arc_contains(arc, lo) and not arc_contains(arc, hi)
+            else:
+                side = lo if subset == pair_rep(subset, n + 1) else hi
+                assert arc_contains(arc, side)
+                assert not arc_contains(arc, lo + hi - side)
 
 
 def test_single_point_witnesses():
     # n=1, l=1/2: S={p1} is picked out in the {p1}/{p0} pair dimension
     s = stripe_witness(1, F(1, 2), 0b10)
-    assert s.anchor_dim == dim_of_pair(0b10, 2)
+    assert s.anchor_dim == pair_rep(0b10, 2) >> 1
     assert arc_contains(s.arc, low_value(F(1, 2)))
     assert not arc_contains(s.arc, high_value(F(1, 2)))
 
@@ -102,3 +106,20 @@ def test_embedded_witnesses_verify():
 def test_witness_mask_range():
     with pytest.raises(ValueError):
         stripe_witness(2, F(1, 2), 1 << 3)
+
+
+def test_witnesses_are_pinned():
+    # every anchor and arc for n <= 4, each length, with and without extra
+    # dimensions: the lifting scales these arcs into certificates, so a
+    # rewrite of the rule must not move one
+    lines = []
+    for n in range(1, 5):
+        for l in LENGTHS:
+            for ambient in (None, (1 << n) + 3):
+                for subset in range(1 << (n + 1)):
+                    s = stripe_witness(n, l, subset, ambient)
+                    lines.append(f"{n} {l} {ambient} {subset} {s.anchor_dim} {s.arc.start} "
+                                 f"{s.arc.end} {s.arc.closed} {s.ambient_dim}\n")
+    assert len(lines) == 360
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "560df1ba0524cc0c5830d18d1f58583d0d521daffba0fefd087afa88dbaaeb00")

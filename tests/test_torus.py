@@ -13,7 +13,6 @@ from torusvc.torus import (
     arc_complement,
     arc_contains,
     arc_length,
-    box_contains,
     shape_contains,
 )
 
@@ -113,9 +112,11 @@ def test_box_contains_is_per_dimension_conjunction():
             arcs.append(Arc(F(t1, g), F(t2, g)))
         box = Box(tuple(arcs))
         p = tuple(F(rng.randrange(g), g) for _ in range(3))
-        assert box_contains(box, p) == all(
+        assert shape_contains(box, p) == all(
             arc_contains(a, x) for a, x in zip(arcs, p)
         )
+    with pytest.raises(ValueError, match=r"^point dimension 2 != shape dimension 3$"):
+        shape_contains(box, p[:2])
 
 
 def test_cube_derives_and_checks_edge():
@@ -143,6 +144,8 @@ def test_stripe_validation():
     s = Stripe(1, arc, 3)
     assert shape_contains(s, (F(0), F(1, 4), F(0)))
     assert not shape_contains(s, (F(1, 4), F(3, 4), F(0)))
+    with pytest.raises(ValueError, match=r"^point dimension 2 != shape dimension 3$"):
+        shape_contains(s, (F(0), F(1, 4)))
     with pytest.raises(ValueError):
         Stripe(3, arc, 3)
     with pytest.raises(ValueError):

@@ -116,8 +116,10 @@ def test_dim2_assignments_reach_every_weak_cyclic_order():
     assert [sum(1 for _ in enumerate_levels(2, n)) for n in range(1, 6)] == [1, 4, 15, 85, 581]
 
 
+# explicit ids, here and below, so the reported test names do not follow the kind strings
 @pytest.mark.parametrize("d, kind, n_top", [(1, BOXES, 5), (1, STRIPES_ANY, 5),
-                                            (2, BOXES, 6), (2, STRIPES_ANY, 5)])
+                                            (2, BOXES, 6), (2, STRIPES_ANY, 5)],
+                         ids=["1-boxes_per-5", "1-stripes_any-5", "2-boxes_per-6", "2-stripes_any-5"])
 def test_augmentation_frontier_matches_the_complete_enumeration(d, kind, n_top):
     family = Family(kind)
     frontiers = shattered_frontiers(d, family, n_top)
@@ -277,7 +279,7 @@ def test_orbit_marking_keeps_the_per_candidate_frontiers_in_space(monkeypatch):
     assert frontiers == _reference_frontiers(3, Family(BOXES), 4)
 
 
-@pytest.mark.parametrize("kind", [BOXES, STRIPES_ANY])
+@pytest.mark.parametrize("kind", [BOXES, STRIPES_ANY], ids=["boxes_per", "stripes_any"])
 def test_all_but_one_point_is_realizable_iff_that_point_is_untied(kind):
     # the untied-point lemma of vcsearch, and its converse, against the
     # quarter-grid brute force
