@@ -2,12 +2,13 @@
 
 Each upper-bound scanner finds the smallest n at which the shattering
 inequality 2^n <= (count bound) breaks for good; VC is then at most n - 1,
-because no n points can be shattered once the count is below 2^n.  Writing
-the inequality's failure as g(n) > 0 for a log-gap g:
+because no n points can be shattered once the count is below 2^n.  Each
+failure is written once, as integer terms (x, w) meaning prod x^w > 1, or
+g(n) > 0 for the log-gap g(n) = sum w log2 x:
 
-    stripe   2^n > d (n+1)^2                g(n) = n - log2 d - 2 log2(n+1)
-    trivial  2^n > (n+1)^(2d)               g(n) = n - 2d log2(n+1)
-    refined  2^n (2d-1)!! > 2^d n^(2d)      g(n) = n + log2 (2d-1)!! - d - 2d log2 n
+    stripe   2^n > d (n+1)^2                ((2, n), (d, -1), (n+1, -2))
+    trivial  2^n > (n+1)^(2d)               ((2, n), (n+1, -2d))
+    refined  2^n (2d-1)!! > 2^d n^(2d)      ((2, n-d), (n, -2d)) and (2d-1)!!
 
 Ranges.  An arc traces at most n^2 - n + 2 <= (n+1)^2 distinct subsets on
 n points of a circle, so d (n+1)^2 bounds the stripe growth function and
@@ -25,29 +26,25 @@ start the predicate g(n) > 0 runs False...False True...True, its first
 True is the answer, and ``_smallest_persistent`` finds it by exponential
 search and bisection in O(log answer) probes.
 
-Probes.  The stripe probe is the exact comparison 2^n > d (n+1)^2: the
-search stays within a factor of two of the crossing, which lies near
-log2 d, so both sides have O(log d) bits and one comparison costs no more
-than a bracket would.  The exact sides of trivial and refined have about
-2d log2 n bits, so their probes are decided on brackets instead.
-
-Brackets.  A trivial or refined probe decides g(n) > 0 from an integer
-bracket on 2^P g(n).  ``_log2_bracket`` brackets 2^P log2 x by squaring a
-fixed-point mantissa P times, once rounding down and once rounding up.
-For refined, Stirling's formula with Robbins' remainder bounds
-1/(12n+1) < r_n < 1/(12n) (H. Robbins, "A remark on Stirling's formula",
-Amer. Math. Monthly 62 (1955) 26-29) gives, from (2d-1)!! = (2d)! / (2^d d!),
+Decider.  ``_exceeds`` decides g > 0 on an integer bracket of 2^P g, the
+sum of w times ``_log2_bracket``'s bracket on 2^P log2 x, which squares a
+fixed-point mantissa P times, once rounding down and once rounding up.  If
+the bracket straddles 0 it retries at precision 2P, and if it still does,
+``_product_exceeds`` compares the product with 1 exactly, so no float is
+used and the two paths cannot disagree.  A known factor enters with its own
+bracket: for (2d-1)!! = (2d)! / (2^d d!), Stirling's formula with Robbins'
+remainder bounds 1/(12n+1) < r_n < 1/(12n) (H. Robbins, "A remark on
+Stirling's formula", Amer. Math. Monthly 62 (1955) 26-29) gives
 
     log2 (2d-1)!! = d log2 d + d + 1/2 - (d - r_2d + r_d) / ln 2,
 
 which is bracketed in O(1) big-integer operations with the literal bracket
-LN2_LO/2^K <= ln 2 <= LN2_HI/2^K.  If the bracket straddles 0 the probe
-retries at precision 2P, and if it still does, it falls back to the exact
-big-integer comparison of the inequality above.  No float is used.
-
-The extraction requirement (q - q/k)^(qm) > q m^2 k^3, whose exact sides
-have about qm log2 k bits, is decided the same way on brackets of 2^P
-(qm log2 (q - q/k) - log2 (q m^2 k^3)).
+LN2_LO/2^K <= ln 2 <= LN2_HI/2^K.  Trivial and refined have exact sides of
+about 2d log2 n bits, and the extraction requirement (q - q/k)^(qm) >
+q m^2 k^3 about qm log2 k bits, so they go through ``_exceeds``.  Stripe
+goes straight to ``_product_exceeds``: the search stays within a factor of
+two of its crossing near log2 d, so both sides have O(log d) bits and one
+comparison costs no more than a bracket would.
 
 floor(log2 d) is taken via bit length.
 """
@@ -56,16 +53,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotCertified, PostconditionError
-from .extraction import verify_ext_req
 
 # ln 2 lies in [LN2_LO, LN2_HI] / 2^LN2_BITS (LN2_LO = floor(2^256 ln 2))
 LN2_BITS = 256
 LN2_LO = 80260960185991308862233904206310070533990667611589946606122867505419956976171
 LN2_HI = 80260960185991308862233904206310070533990667611589946606122867505419956976172
 
-# a probe first works at 2^-P with P = bit length of d plus these bits; the
-# brackets' errors are a few multiples of d 2^-P, so they only overlap zero
-# on near-ties
+# _exceeds first works at 2^-P with P = the inputs' bit length plus these
+# bits; the brackets' errors are a few multiples of d 2^-P, so they only
+# overlap zero on near-ties
 PRECISION_BITS = 32
 # fixed-point mantissa bits beyond P in _log2_bracket
 MANTISSA_GUARD = 16
@@ -124,27 +120,38 @@ def _log2_bracket(n: int, p: int):
     return tuple(ends)
 
 
-def _precisions(d: int):
-    p = d.bit_length() + PRECISION_BITS
-    return p, 2 * p
+def _product_exceeds(terms, factor: int = 1) -> bool:
+    """factor * prod x^w > 1 over the terms (x, w), in exact integers."""
+    num, den = factor, 1
+    for x, w in terms:
+        if w >= 0:
+            num *= x**w
+        else:
+            den *= x**-w
+    return num > den
 
 
-def _prober(gap, precisions, exact):
-    """exceeds(n) <=> g(n) > 0, where gap(n, p) brackets 2^p g(n) in integers.
+def _exceeds(terms, bits: int, known=None) -> bool:
+    """prod x^w > 1 over the terms (x, w), times K if ``known`` is (brackets, value):
+    brackets[p] brackets 2^p log2 K at both precisions p, and value() is K.
 
-    An overlap with 0 at every precision is settled by ``exact(n)`` only.
+    Decided on brackets of 2^p sum w log2 x at p = bits + PRECISION_BITS and
+    then 2p; if both straddle 0, by ``_product_exceeds``.
     """
-
-    def exceeds(n):
-        for p in precisions:
-            lo, hi = gap(n, p)
-            if lo > 0:
-                return True
-            if hi <= 0:
-                return False
-        return exact(n)
-
-    return exceeds
+    first = bits + PRECISION_BITS
+    for p in (first, 2 * first):
+        lo, hi = known[0][p] if known else (0, 0)
+        for x, w in terms:
+            x_lo, x_hi = _log2_bracket(x, p)
+            if w < 0:
+                x_lo, x_hi = x_hi, x_lo
+            lo += w * x_lo
+            hi += w * x_hi
+        if lo > 0:
+            return True
+        if hi <= 0:
+            return False
+    return _product_exceeds(terms, known[1]() if known else 1)
 
 
 def _smallest_persistent(exceeds, start: int = 1) -> int:
@@ -177,29 +184,21 @@ def stripe_upper_bound_n(d: int) -> int:
     """Smallest n with 2^n > d (n+1)^2 (for it and all larger n); VC(stripes_l) <= n - 1."""
     if d < 1:
         raise ValueError("d must be positive")
-    return _smallest_persistent(lambda n: 2**n > d * (n + 1) ** 2)
+    return _smallest_persistent(lambda n: _product_exceeds(((2, n), (d, -1), (n + 1, -2))))
 
 
 def trivial_upper_bound_n(d: int) -> int:
     """Smallest n with 2^n > (n+1)^(2d) (for it and all larger n); VC(boxes) <= n - 1."""
     if d < 1:
         raise ValueError("d must be positive")
-
-    def gap(n, p):
-        lo, hi = _log2_bracket(n + 1, p)
-        return (n << p) - 2 * d * hi, (n << p) - 2 * d * lo
-
-    def exact(n):
-        return 2**n > (n + 1) ** (2 * d)
-
-    return _smallest_persistent(_prober(gap, _precisions(d), exact))
+    bits = d.bit_length()
+    return _smallest_persistent(lambda n: _exceeds(((2, n), (n + 1, -2 * d)), bits))
 
 
 def _refined_constant(d: int, p: int):
-    """Bracket on 2^p (1/2 + d log2 d - (d - r_2d + r_d) / ln 2).
+    """Bracket on 2^p log2 (2d-1)!! = 2^p (d log2 d + d + 1/2 - (d - r_2d + r_d) / ln 2),
+    the Stirling-Robbins identity in the module docstring.
 
-    This is 2^p (g(n) - n + 2d log2 n) for the refined gap g, by the
-    Stirling-Robbins identity for log2 (2d-1)!! in the module docstring.
     Robbins' bounds put r_d - r_2d strictly between (12d-1) / (24d(12d+1))
     and (12d+1) / (12d(24d+1)).
     """
@@ -210,8 +209,8 @@ def _refined_constant(d: int, p: int):
     div_lo = (scale * c_lo.numerator) // (c_lo.denominator * LN2_HI)
     div_hi = -((-scale * c_hi.numerator) // (c_hi.denominator * LN2_LO))
     log_lo, log_hi = _log2_bracket(d, p)
-    half = 1 << (p - 1)
-    return half + d * log_lo - div_hi, half + d * log_hi - div_lo
+    rest = (d << p) + (1 << (p - 1))
+    return rest + d * log_lo - div_hi, rest + d * log_hi - div_lo
 
 
 def _refined_start(d: int) -> int:
@@ -223,26 +222,19 @@ def refined_upper_bound_n(d: int) -> int:
     """Smallest n >= n0 with 2^n (2d-1)!! > 2^d n^(2d) (for it and all larger n);
     VC(boxes) <= n - 1.
 
-    This is the exact version of the refined count 2^d n^(2d) / (2d-1)!!:
-    probes are decided on certified integer brackets of its logarithm, and
-    a near-tie falls back to this very big-integer inequality.  The scan
-    starts at n0 = ``_refined_start(d)``, past the minimum of the log-gap,
-    so it never latches onto the small-n range where the count is below 1.
+    This is the exact version of the refined count 2^d n^(2d) / (2d-1)!!.
+    The scan starts at n0 = ``_refined_start(d)``, past the minimum of the
+    log-gap, so it never latches onto the small-n range where the count is
+    below 1.
     """
     if d < 1:
         raise ValueError("d must be positive")
-    precisions = _precisions(d)
-    constant = {p: _refined_constant(d, p) for p in precisions}
-
-    def gap(n, p):
-        c_lo, c_hi = constant[p]
-        lo, hi = _log2_bracket(n, p)
-        return (n << p) + c_lo - 2 * d * hi, (n << p) + c_hi - 2 * d * lo
-
-    def exact(n):
-        return 2**n * double_factorial(2 * d - 1) > 2**d * n ** (2 * d)
-
-    return _smallest_persistent(_prober(gap, precisions, exact), _refined_start(d))
+    bits = d.bit_length()
+    p = bits + PRECISION_BITS
+    known = ({p: _refined_constant(d, p), 2 * p: _refined_constant(d, 2 * p)},
+             lambda: double_factorial(2 * d - 1))
+    return _smallest_persistent(
+        lambda n: _exceeds(((2, n - d), (n, -2 * d)), bits, known), _refined_start(d))
 
 
 @dataclass
@@ -261,43 +253,32 @@ class BoundParams:
 
 
 def choose_parameters(d: int) -> BoundParams:
-    """f = floor(log2 d), q = 1 + 1/f, m = 24 f floor(log2 d),
-    k = floor(d / (mq)), c = mk; qm = 24 (f+1) floor(log2 d) is an integer.
+    """f = floor(log2 d), q = 1 + 1/f, m = 24 f^2, k = floor(d / (qm)), c = mk;
+    qm = 24 (f+1) f is an integer.
     """
     if d < 2:
         raise ValueError("d too small: it must be at least 2")
-    f = log = floor_log2(d)
+    f = floor_log2(d)
     q = 1 + Fraction(1, f)
-    m = 24 * f * log
-    k = int(Fraction(d) / (m * q))
+    m = 24 * f * f
+    qm = 24 * (f + 1) * f
+    k = d // qm
     if k == 0:
         raise ValueError(f"d too small for f={f}: k would be 0")
     c = m * k
-    qm = q * m
-    d_prime = int(qm) * k
-    if qm.denominator != 1 or d_prime > d:
-        raise PostconditionError(f"qm = {qm} is not an integer or d' = {d_prime} > d = {d}")
-    condition_ok = Fraction(d, log) > 48 * (f + 2) ** 2
-    ext_req_ok = _ext_req_holds(q, m, k)
-    return BoundParams(d, f, q, m, k, c, d_prime, condition_ok, ext_req_ok)
+    d_prime = qm * k
+    if q * m != qm or d_prime > d:
+        raise PostconditionError(f"qm = {q * m} is not {qm} or d' = {d_prime} > d = {d}")
+    condition_ok = d > 48 * (f + 2) ** 2 * f
+    return BoundParams(d, f, q, m, k, c, d_prime, condition_ok, _ext_req_holds(q, m, k))
 
 
 def _ext_req_holds(q: Fraction, m: int, k: int) -> bool:
-    """``verify_ext_req(q, m, k)`` for an integral qm, decided on brackets of
-    2^p times the sum of w log2 x over the terms (x, w); a near-tie, or
-    k = 1 where q - q/k is 0, falls back to that exact comparison."""
+    """(q - q/k)^(qm) > q m^2 k^3 for an integral qm; k = 1 makes the left side 0."""
     qm, base = int(q * m), q - q / k
     terms = ((base.numerator, qm), (base.denominator, -qm), (q.numerator, -1),
              (q.denominator, 1), (m, -2), (k, -3))
-
-    def gap(_, p):
-        lows, highs = zip(*(sorted(w * e for e in _log2_bracket(x, p)) for x, w in terms))
-        return sum(lows), sum(highs)
-
-    def exact(_):
-        return verify_ext_req(q, m, k)
-
-    return exact(None) if base == 0 else _prober(gap, _precisions(qm), exact)(None)
+    return k > 1 and _exceeds(terms, qm.bit_length())
 
 
 def _lower_bound(d: int):

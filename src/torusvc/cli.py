@@ -44,6 +44,17 @@ class _UsageError(Exception):
     pass
 
 
+def _count(text: str) -> int:
+    """argparse type of the options that count trials, steps or masks."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"negative count {text!r}")
+    return value
+
+
 def _family_from_args(args) -> Family:
     if args.family == STRIPES_FIXED:
         if args.l is None:
@@ -84,7 +95,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-trials", type=int, default=1000)
+    p.add_argument("--max-trials", type=_count, default=1000)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("lift", help="lift a point set through a matrix")
@@ -97,7 +108,7 @@ def build_parser() -> _Parser:
     p.add_argument("--points", required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--l", required=True)
-    p.add_argument("--sample", type=int, default=None)
+    p.add_argument("--sample", type=_count, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
 
@@ -119,7 +130,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="randomized search for a shattered set")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--budget", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     return parser

@@ -20,7 +20,7 @@ from .errors import GuardExceeded
 from .extraction import SymbolMatrix
 from .matching import maximum_matching
 from .shatter import covered_mask, scan_stripe
-from .stripes import build_stripe_shattered_set, stripe_witness
+from .stripes import _check_length, build_stripe_shattered_set, stripe_witness
 from .torus import ONE, Arc, Cube, PointSet, Rat
 from .torus import arc_contains  # noqa: F401  (a binding site bench/test_bench.py checks)
 
@@ -52,9 +52,7 @@ class LiftReport:
 
 def lift_points(base: PointSet, matrix: SymbolMatrix, length: Rat) -> LiftInstance:
     """Build the lifted point set; exact, denominator (c+1) * D_base."""
-    length = Fraction(length)
-    if not (0 < length < 1):
-        raise ValueError("stripe length must lie in (0,1)")
+    length = _check_length(length)
     if base.dim != matrix.k:
         raise ValueError(f"base dimension {base.dim} != matrix alphabet size {matrix.k}")
     c, d = matrix.n_rows, matrix.n_cols

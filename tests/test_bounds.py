@@ -8,7 +8,9 @@ import pytest
 import reference_scanners
 from torusvc import bounds
 from torusvc.bounds import (
+    _exceeds,
     _log2_bracket,
+    _product_exceeds,
     _refined_constant,
     _refined_start,
     bounds_table,
@@ -97,16 +99,22 @@ def test_choose_parameters_worked_value():
     assert params.ext_req_ok
 
 
-def test_extraction_requirement_on_brackets_matches_the_exact_check(monkeypatch):
-    # the brackets decide every d with k >= 2; k = 1 makes q - q/k zero,
-    # which only the exact check takes
-    exact = []
+@pytest.fixture
+def exact(monkeypatch):
+    """The term lists that reach bounds' exact comparison, in call order."""
+    calls = []
 
-    def counted(q, m, k):
-        exact.append(k)
-        return verify_ext_req(q, m, k)
+    def counted(terms, factor=1):
+        calls.append(terms)
+        return _product_exceeds(terms, factor)
 
-    monkeypatch.setattr(bounds, "verify_ext_req", counted)
+    monkeypatch.setattr(bounds, "_product_exceeds", counted)
+    return calls
+
+
+def test_extraction_requirement_on_brackets_matches_the_exact_check(exact):
+    # the brackets decide every d with k >= 2, and k = 1, where q - q/k is
+    # zero, is decided before any comparison: no exact comparison runs
     ds = [*range(2, 5000), *range(1 << 13, 1 << 15, 37), *(1 << e for e in range(15, 41)),
           10**6, 10**9, 3**20]
     checked = 0
@@ -117,7 +125,7 @@ def test_extraction_requirement_on_brackets_matches_the_exact_check(monkeypatch)
             continue
         assert params.ext_req_ok == verify_ext_req(params.q, params.m, params.k), d
         checked += 1
-    assert checked > 500 and set(exact) == {1}
+    assert checked > 500 and exact == []
 
 
 def test_extraction_requirement_brackets_agree_on_both_sides_of_it():
@@ -232,13 +240,38 @@ def test_log2_bracket_is_certified():
 
 
 def test_refined_constant_brackets_log2_double_factorial():
-    # the constant brackets 2^p (log2 (2d-1)!! - d); at small p the Robbins
+    # the constant brackets 2^p log2 (2d-1)!!; at small p the Robbins
     # correction (about 1/(24 d ln 2)) is several units of 2^-p for small d
     for p in range(2, 9):
         for d in range(1, 21):
             lo, hi = _refined_constant(d, p)
             power = double_factorial(2 * d - 1) ** (2**p)
-            assert 2 ** (lo + (d << p)) <= power <= 2 ** (hi + (d << p)), (d, p)
+            assert 2**lo <= power <= 2**hi, (d, p)
+
+
+def test_exceeds_decides_like_the_exact_product(exact):
+    # seeded random products, exact ties and tied products times a known
+    # factor, at precisions low enough that some brackets straddle 0
+    rng = random.Random(15)
+    cases = [((4, 3), (8, -2)), ((6, 2), (4, -1), (9, -1)), ((2, 0),), ((1, 40), (64, -1))]
+    for _ in range(600):
+        terms = [(rng.randint(1, 64), rng.randint(-40, 40)) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.5:  # an exact tie: (ab)^w a^-w b^-w = 1
+            a, b, w = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 5)
+            terms[:] = [(a * b, w), (a, -w), (b, -w)] + terms[: rng.randint(0, 1)]
+        rng.shuffle(terms)
+        cases.append(tuple(terms))
+    for i, terms in enumerate(cases):
+        bits = i % 3
+        known = None
+        if i % 4 == 3:  # the known factor K = 3^v, against a term (3, -v)
+            v = rng.randint(1, 20)
+            terms += ((3, -v),)
+            known = ({p: _log2_bracket(3**v, p) for p in range(32, 72)}, lambda v=v: 3**v)
+        want = _product_exceeds(terms, known[1]() if known else 1)
+        assert _exceeds(terms, bits, known) == want, terms
+    # each case makes at most one exact comparison, so both paths ran
+    assert 0 < len(exact) < len(cases)
 
 
 def test_ln2_literal_bracket():
@@ -268,6 +301,27 @@ def test_no_module_has_float():
                 assert "math" not in [alias.name for alias in node.names], where
             if isinstance(node, ast.ImportFrom) and node.module == "math":
                 assert {alias.name for alias in node.names} <= exact, where
+
+
+def test_bounds_inequalities_all_go_through_the_decider():
+    # _log2_bracket is called only by _exceeds and the (2d-1)!! bracket, and
+    # bounds imports nothing from the package but its errors
+    tree = ast.parse(Path(bounds.__file__).read_text())
+    callers = sorted(
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_log2_bracket"
+    )
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "_log2_bracket"]
+    assert callers == ["_exceeds", "_refined_constant"] and len(uses) == len(callers)
+    imports = [(node.level, node.module) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.level or "torusvc" in node.module)]
+    assert imports == [(1, "errors")]
+    assert not any("torusvc" in alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names)
 
 
 def test_bounds_table_rows_and_reasons():

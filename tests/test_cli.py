@@ -545,3 +545,33 @@ def test_search_rejects_nonpositive_sizes():
     for d, n in (("0", "3"), ("2", "0")):
         code, out, err = cli("search", "--d", d, "--n", n, "--budget", "5")
         assert (code, out, err) == (2, "", "error: d and n must be positive\n")
+
+
+NEGATIVE_COUNTS = {
+    "--max-trials": ("extract-sample", "--m", "1", "--k", "2", "--q", "2", "-o", "m.txt"),
+    "--budget": ("search", "--d", "1", "--n", "2"),
+    "--sample": ("certify-lift", "--points", "p.txt", "--matrix", "m.txt", "--l", "1/2",
+                 "-o", "c.txt"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(NEGATIVE_COUNTS))
+def test_negative_count_is_a_usage_error(monkeypatch, option):
+    # refused by the parser, before any command runs or reads a file
+    monkeypatch.setattr(cli_module, "_COMMANDS", {})
+    argv = NEGATIVE_COUNTS[option]
+    code, out, err = cli(*argv, option, "-1")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: negative count '-1'\n")
+    code, out, err = cli(*argv, option, "x")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: invalid int value: 'x'\n")
+
+
+def test_lift_length_outside_the_unit_interval_is_a_usage_error(tmp_path):
+    base, matrix = write_lift_inputs(tmp_path)
+    for command in ("lift", "certify-lift"):
+        out_path = tmp_path / f"{command}.txt"
+        assert cli(command, "--points", base, "--matrix", matrix, "--l", "2",
+                   "-o", str(out_path)) == (2, "", "error: stripe length 2 outside (0,1)\n")
+        assert not out_path.exists()
