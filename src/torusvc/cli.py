@@ -14,8 +14,8 @@ from .bounds import bounds_table
 from .errors import GuardExceeded, VCBracket
 from .extraction import check_extraction, sample_extraction_matrix
 from .fileio import (
+    certificate_lines,
     parse_rat,
-    read_certificate,
     read_matrix,
     read_points,
     write_certificate,
@@ -194,18 +194,14 @@ def _cmd_extract_sample(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    inst = lift_points(
-        read_points(args.points), read_matrix(args.matrix), parse_rat(args.l)
-    )
+    inst = lift_points(read_points(args.points), read_matrix(args.matrix), parse_rat(args.l))
     write_points(inst.lifted, args.output)
     print(f"wrote {len(inst.lifted)} lifted points in dimension {inst.lifted.dim}")
     return EXIT_OK
 
 
 def _cmd_certify_lift(args) -> int:
-    inst = lift_points(
-        read_points(args.points), read_matrix(args.matrix), parse_rat(args.l)
-    )
+    inst = lift_points(read_points(args.points), read_matrix(args.matrix), parse_rat(args.l))
     n = len(inst.lifted)
     masks = range(1 << n) if args.sample is None else sample_masks(n, args.sample, args.seed)
     report = verify_lift(inst, masks)
@@ -213,36 +209,42 @@ def _cmd_certify_lift(args) -> int:
         shown = ", ".join(f"{m:x}" for m in report.failures[:8])
         print(f"lift verification failed on {len(report.failures)} masks: {shown}")
         return EXIT_FAIL
-    witnesses = {mask: cube_witness(inst, mask) for mask in masks}
-    write_certificate(witnesses, inst.lifted.dim, len(inst.lifted), args.output)
-    print(f"certified {len(witnesses)} masks")
+    if args.sample is not None:
+        masks = sorted(set(masks))
+    # each cube is built again as its line is written, so no witness is held
+    write_certificate(((mask, cube_witness(inst, mask)) for mask in masks),
+                      inst.lifted.dim, n, args.output, report.denom)
+    print(f"certified {len(masks)} masks")
     return EXIT_OK
 
 
 def _cmd_verify_cert(args) -> int:
     ps = read_points(args.points)
-    dim, n_points, _, _, witnesses = read_certificate(args.certificate)
-    if dim != ps.dim or n_points != len(ps):
-        print(
-            f"certificate is for dimension {dim} / {n_points} points, "
-            f"point file has {ps.dim} / {len(ps)}",
-            file=sys.stderr,
-        )
+    lines = certificate_lines(args.certificate)
+    dim, n_points, _, _ = next(lines)
+    matches = dim == ps.dim and n_points == len(ps)
+    total = 1 << len(ps)
+    count = inside = 0
+    failed = None  # (mask, covered) of the smallest failing mask
+    for mask, shape in lines:  # parsed to the end, so a parse error anywhere exits 2
+        count += 1
+        inside += 0 <= mask < total
+        got = covered_mask(ps, shape) if matches else mask
+        if got != mask and (failed is None or mask < failed[0]):
+            failed = mask, got
+    if not matches:
+        print(f"certificate is for dimension {dim} / {n_points} points, "
+              f"point file has {ps.dim} / {len(ps)}", file=sys.stderr)
         return EXIT_FAIL
-    total = 1 << n_points
-    if not args.sampled and (len(witnesses) != total or not all(0 <= m < total for m in witnesses)):
-        print(
-            f"certificate holds {len(witnesses)} masks, not each of the {total} masks "
-            f"0..{total - 1:x} once (pass --sampled to check a partial certificate)",
-            file=sys.stderr,
-        )
+    # no mask repeats, so count == inside == total means each mask once
+    if not args.sampled and not count == inside == total:
+        print(f"certificate holds {count} masks, not each of the {total} masks 0..{total - 1:x} "
+              "once (pass --sampled to check a partial certificate)", file=sys.stderr)
         return EXIT_FAIL
-    for mask in sorted(witnesses):
-        got = covered_mask(ps, witnesses[mask])
-        if got != mask:
-            print(f"mask {mask:x} fails: shape covers {got:x}")
-            return EXIT_FAIL
-    print(f"verified {len(witnesses)} masks")
+    if failed is not None:
+        print(f"mask {failed[0]:x} fails: shape covers {failed[1]:x}")
+        return EXIT_FAIL
+    print(f"verified {count} masks")
     return EXIT_OK
 
 

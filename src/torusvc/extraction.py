@@ -187,11 +187,15 @@ def _check_witness(matrix: SymbolMatrix) -> ExtractionVerdict:
     first |V| < |U| met, where the search stops, has |V| = |U| - 1.  More
     than WITNESS_NODE_BUDGET nodes raise GuardExceeded.  The stack is
     explicit, so no matrix is too deep for the interpreter's recursion limit.
+    A node whose |U| does not beat best[(r, V)], the largest expanded from (r, V), is
+    cut: a larger |U| reaches a violator whenever a smaller one does, and the earlier
+    node's subtree, which cannot hold the later node as r grows, held none.
     """
     c, k, d = matrix.n_rows, matrix.k, matrix.n_cols
     masks = [[sum(1 << j for j in matrix.support(i, s)) for s in range(k)] for i in range(c)]
     # (next row, V, |U|, U as nested ((row, symbol), rest) pairs)
     stack = [(0, 0, 0, None)]
+    best = {}
     nodes = 0
     while stack:
         nodes += 1
@@ -201,8 +205,9 @@ def _check_witness(matrix: SymbolMatrix) -> ExtractionVerdict:
             )
         r, cols, size, taken = stack.pop()
         width = cols.bit_count()
-        if width > size + c - r - 1:
+        if width > size + c - r - 1 or best.get((r, cols), -1) >= size:
             continue
+        best[r, cols] = size
         while width >= size and r < c:
             s = next((s for s, mask in enumerate(masks[r]) if mask | cols == cols), None)
             if s is None:

@@ -7,9 +7,11 @@ so they re-verify offline using only containment tests.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .extraction import SymbolMatrix
+from .lifting import VERIFY_GUARD_POINTS
 from .torus import Arc, Box, Cube, PointSet, Stripe, shape_factors
 
 
@@ -38,12 +40,15 @@ def _read_ints(path, lineno, line, count, what):
         raise ParseError(path, lineno, f"non-integer {what}") from None
 
 
-def _lines(path, kind: str) -> list:
+def _lines(path, kind: str):
+    """(number, line) per line of str.splitlines, read as consumed; no line is refused."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(path, 1, f"empty {kind} file")
-    return lines
+        lines = enumerate((line for chunk in fh for line in chunk.splitlines()), start=1)
+        first = next(lines, None)
+        if first is None:
+            raise ParseError(path, 1, f"empty {kind} file")
+        yield first
+        yield from lines
 
 
 def _read_rows(path, lines, rows: int, width: int, bound: int, names) -> list:
@@ -77,7 +82,7 @@ def write_points(ps: PointSet, path: str) -> None:
 
 
 def read_points(path: str) -> PointSet:
-    lines = _lines(path, "points")
+    lines = [line for _, line in _lines(path, "points")]
     d, n, denom = _read_ints(path, 1, lines[0], 3, "header fields (d n D)")
     if d < 1 or n < 0 or denom < 1:
         raise ParseError(path, 1, f"invalid header d={d} n={n} D={denom}")
@@ -90,7 +95,7 @@ def write_matrix(matrix: SymbolMatrix, path: str) -> None:
 
 
 def read_matrix(path: str) -> SymbolMatrix:
-    lines = _lines(path, "matrix")
+    lines = [line for _, line in _lines(path, "matrix")]
     c, d, k = _read_ints(path, 1, lines[0], 3, "header fields (c d k)")
     if c < 1 or d < 1 or k < 1:
         raise ParseError(path, 1, f"invalid header c={c} d={d} k={k}")
@@ -98,44 +103,45 @@ def read_matrix(path: str) -> SymbolMatrix:
     return SymbolMatrix(tuple(rows), k)
 
 
-def _scaled(arc: Arc, denom: int) -> tuple:
-    """(start, length) numerators over denom, a multiple of the arc's grid q."""
-    s, _, w, q = arc.grid
-    return s * (denom // q), w * (denom // q)
-
-
-def write_certificate(witnesses: dict, dim: int, n_points: int, path: str) -> None:
-    """Serialize a mask -> shape map; all shapes must share one kind."""
-    if not witnesses:
+def write_certificate(witnesses, dim: int, n_points: int, path: str, denom: int = None) -> None:
+    """Serialize shapes of one kind, formatting each distinct arc once: a mask -> shape dict, or
+    (mask, shape) pairs in ascending mask order, streamed, with denom the lcm of their arcs' q."""
+    if denom is None:
+        # lcm(start, end denominators) = lcm(start, length denominators): end = start + length mod 1
+        denom = lcm(*(a.grid[3] for s in witnesses.values() for _, a in shape_factors(s, dim)))
+        witnesses = sorted(witnesses.items())
+    pairs = iter(witnesses)
+    first_mask, first = next(pairs, (None, None))
+    if first is None:
         raise ValueError("refusing to write an empty certificate")
-    kinds = {type(s).__name__.lower() for s in witnesses.values()}
-    if len(kinds) != 1:
-        raise ValueError(f"mixed shape kinds in certificate: {sorted(kinds)}")
-    kind = kinds.pop()
-    # lcm(start, end denominators) = lcm(start, length denominators): end = start + length mod 1
-    denom = lcm(*(a.grid[3] for s in witnesses.values() for _, a in shape_factors(s, dim)))
-    lines = [f"{dim} {n_points} {denom} {kind}"]
-    for mask in sorted(witnesses):
-        shape = witnesses[mask]
-        starts, lengths = zip(*(_scaled(a, denom) for _, a in shape_factors(shape, dim)))
-        if kind == "stripe":
-            nums, tail = [shape.anchor_dim, *starts], lengths
-        else:
-            nums, tail = starts, lengths[:1] if kind == "cube" else lengths
-        lines.append(
-            f"mask={mask:x} shape="
-            + " ".join(str(v) for v in nums)
-            + " ; "
-            + " ".join(str(v) for v in tail)
-        )
+    kind = type(first).__name__.lower()
+    text = {}  # arc grid -> (start, length) numerators over denom, as text
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{dim} {n_points} {denom} {kind}\n")
+        for mask, shape in chain([(first_mask, first)], pairs):
+            if type(shape) is not type(first):
+                raise ValueError(f"mixed shape kinds: {kind} and {type(shape).__name__.lower()}")
+            cells = []
+            for _, arc in shape_factors(shape, dim):
+                cell = text.get(arc.grid)
+                if cell is None:
+                    s, _, w, q = arc.grid
+                    cell = text[arc.grid] = str(s * (denom // q)), str(w * (denom // q))
+                cells.append(cell)
+            starts, lengths = zip(*cells)
+            if kind == "stripe":
+                starts = (str(shape.anchor_dim), *starts)
+            elif kind == "cube":
+                lengths = lengths[:1]
+            fh.write(f"mask={mask:x} shape={' '.join(starts)} ; {' '.join(lengths)}\n")
 
 
-def read_certificate(path: str):
-    """Returns (dim, n_points, denom, kind, {mask: shape})."""
+def certificate_lines(path: str):
+    """Yields the header (dim, n_points, denom, kind), then (mask, shape) per non-blank line
+    as it is parsed.  Repeats are refused: masks in [0, 2^n) for n <= VERIFY_GUARD_POINTS
+    are marked in a 2^n-bit map, others in a set."""
     lines = _lines(path, "certificate")
-    head = lines[0].split()
+    head = next(lines)[1].split()
     if len(head) != 4:
         raise ParseError(path, 1, "expected header 'd n D kind'")
     try:
@@ -149,9 +155,11 @@ def read_certificate(path: str):
     kind = head[3]
     if kind not in ("box", "cube", "stripe"):
         raise ParseError(path, 1, f"unknown certificate kind {kind!r}")
-    witnesses = {}
+    yield dim, n_points, denom, kind
+    seen = bytearray((1 << n_points) + 7 >> 3 if n_points <= VERIFY_GUARD_POINTS else 0)
+    others = set()
     arcs = {}  # (start, length, closed) numerators -> Arc, one per distinct arc
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         if not line.strip():
             continue
         try:
@@ -162,13 +170,24 @@ def read_certificate(path: str):
             tail = [int(v) for v in right.split()]
         except ValueError:
             raise ParseError(path, lineno, "malformed certificate line") from None
-        if mask in witnesses:
+        byte, bit = mask >> 3, 1 << (mask & 7)
+        if 0 <= byte < len(seen) and not seen[byte] & bit:
+            seen[byte] |= bit
+        elif 0 <= byte < len(seen) or mask in others:
             raise ParseError(path, lineno, f"repeated mask {mask:x}")
+        else:
+            others.add(mask)
         try:
-            witnesses[mask] = _build_shape(kind, dim, denom, nums, tail, arcs)
+            shape = _build_shape(kind, dim, denom, nums, tail, arcs)
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
-    return dim, n_points, denom, kind, witnesses
+        yield mask, shape
+
+
+def read_certificate(path: str):
+    """Returns (dim, n_points, denom, kind, {mask: shape})."""
+    lines = certificate_lines(path)
+    return (*next(lines), dict(lines))
 
 
 def _arc_from(start_num: int, len_num: int, denom: int, closed: bool, arcs: dict) -> Arc:

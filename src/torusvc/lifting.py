@@ -15,6 +15,7 @@ complement of those d stripes.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import GuardExceeded
 from .extraction import SymbolMatrix
@@ -44,6 +45,7 @@ class LiftInstance:
 class LiftReport:
     checked: int
     failures: list
+    denom: int = 1  # lcm of the arc grid denominators (Arc.grid's q) of the cubes checked
 
     @property
     def ok(self) -> bool:
@@ -135,7 +137,9 @@ def cube_witness(inst: LiftInstance, subset: Mask) -> Cube:
     # the cube is the complement of the stripe union, so the stripes must
     # cover exactly the points outside the requested subset
     full = (1 << u) - 1
-    cells = [_cell(inst, memo, ~(subset >> (i * u)) & full) for i in range(c)]
+    groups = [~(subset >> (i * u)) & full for i in range(c)]
+    # a built cell is read from the memo here; _cell builds one, or raises a stored error
+    cells = [cell if type(cell := memo.get(g)) is tuple else _cell(inst, memo, g) for g in groups]
     size, match = maximum_matching([supports[i] for i, (_, supports, _) in enumerate(cells)], d)
     if size < c:
         raise ValueError(
@@ -164,9 +168,11 @@ def sample_masks(total_points: int, count: int, seed: int):
 
 def verify_lift(inst: LiftInstance, masks) -> LiftReport:
     """Check that cube witnesses realize each of the masks: a sequence such
-    as range(1 << n) for every mask, or a sample_masks draw."""
+    as range(1 << n) for every mask, or a sample_masks draw.  The report's
+    denom is the denominator of the certificate of their cubes."""
     _check_guard(masks)
     failures = []
+    denoms = set()
     for mask in masks:
         try:
             cube = cube_witness(inst, mask)
@@ -175,4 +181,5 @@ def verify_lift(inst: LiftInstance, masks) -> LiftReport:
             continue
         if covered_mask(inst.lifted, cube) != mask:
             failures.append(mask)
-    return LiftReport(len(masks), failures)
+        denoms.update([arc.grid[3] for arc in cube.arcs])
+    return LiftReport(len(masks), failures, lcm(*denoms))

@@ -43,5 +43,8 @@ def maximum_matching(adjacency, n_right: int):
             f"maximum_matching guard: an augmenting path is deeper than the recursion limit "
             f"({sys.getrecursionlimit()} frames)"
         ) from None
-    match = {i: j for j, i in enumerate(match_right) if i is not None}
-    return len(match), [match.get(i) for i in range(len(adjacency))]
+    match = [None] * len(adjacency)
+    for j, i in enumerate(match_right):
+        if i is not None:
+            match[i] = j
+    return n_right - match_right.count(None), match

@@ -173,6 +173,8 @@ class PointSet:
     cols: tuple = field(init=False, repr=False, compare=False)
     # prefix_table(cols), which coverage reads
     prefix: tuple = field(init=False, repr=False, compare=False)
+    # {(j, arc.grid, arc.closed): mask of the points in the arc}, shatter.covered_mask's cache
+    covers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -191,6 +193,7 @@ class PointSet:
                 col.append(scaled.numerator)
         object.__setattr__(self, "cols", tuple(map(tuple, cols)))
         object.__setattr__(self, "prefix", prefix_table(self.cols))
+        object.__setattr__(self, "covers", {})
 
     def __len__(self) -> int:
         return len(self.points)

@@ -1,13 +1,14 @@
 """Reference copies of the word-by-word extraction checker, its Hall
-violator search and the Fraction-path cube witness that ``torusvc``
-replaced.
+violator search, the witness-mode search without its memo and the
+Fraction-path cube witness that ``torusvc`` replaced.
 
 ``_check_exhaustive`` matches every word of the matrix from scratch and
-takes its failure witness from ``deficient_set``'s alternating search, and
-``cube_witness`` rebuilds each group's base stripe, support and arcs per
-mask.  They are kept verbatim so that the tests can check the prefix-DFS
-checker and the per-instance cell tables against the answers the package
-gave before.  From ``torusvc`` this imports only ``torus``, ``matching``,
+takes its failure witness from ``deficient_set``'s alternating search,
+``_check_witness`` expands every node it pops, and ``cube_witness``
+rebuilds each group's base stripe, support and arcs per mask.  They are
+kept verbatim, but for the witness search's own node budget, so that the
+tests can check the prefix-DFS checker, the memoized witness search and
+the per-instance cell tables against the answers the package gave before.  From ``torusvc`` this imports only ``torus``, ``matching``,
 ``stripes`` and ``shatter``.
 """
 
@@ -83,6 +84,56 @@ def _check_exhaustive(matrix) -> ExtractionVerdict:
             cols = _pad_columns(cols, len(rows) - 1, matrix.n_cols)
             witness = (tuple(rows), cols, {u: word[u] for u in rows})
             return ExtractionVerdict(False, word, witness)
+    return ExtractionVerdict(True)
+
+
+WITNESS_NODE_BUDGET = 10**7
+
+
+def _check_witness(matrix) -> ExtractionVerdict:
+    """Search rows 0..c-1 in order for a Hall violator (U, V).
+
+    Each row is taken into U with one symbol, which adds that symbol's
+    support to V, or skipped; V is a column bitmask.  A row with a support
+    already inside V is taken at once without branching: any violator that
+    skips it stays one when it is added.  A node is cut when |V| exceeds
+    |U| plus the rows left, minus one.  U grows one row at a time, so the
+    first |V| < |U| met, where the search stops, has |V| = |U| - 1.  More
+    than WITNESS_NODE_BUDGET nodes raise RuntimeError.  The stack is
+    explicit, so no matrix is too deep for the interpreter's recursion limit.
+    """
+    c, k, d = matrix.n_rows, matrix.k, matrix.n_cols
+    masks = [[sum(1 << j for j in matrix.support(i, s)) for s in range(k)] for i in range(c)]
+    # (next row, V, |U|, U as nested ((row, symbol), rest) pairs)
+    stack = [(0, 0, 0, None)]
+    nodes = 0
+    while stack:
+        nodes += 1
+        if nodes > WITNESS_NODE_BUDGET:
+            raise RuntimeError(
+                f"witness check guard: more than {WITNESS_NODE_BUDGET} search nodes"
+            )
+        r, cols, size, taken = stack.pop()
+        width = cols.bit_count()
+        if width > size + c - r - 1:
+            continue
+        while width >= size and r < c:
+            s = next((s for s, mask in enumerate(masks[r]) if mask | cols == cols), None)
+            if s is None:
+                break
+            taken, size, r = ((r, s), taken), size + 1, r + 1
+        if width < size:
+            symbols = {}
+            while taken is not None:
+                (u, s), taken = taken
+                symbols[u] = s
+            cols = tuple(j for j in range(d) if cols >> j & 1)
+            return ExtractionVerdict(False, None, (tuple(sorted(symbols)), cols, symbols))
+        if r == c:
+            continue
+        stack.append((r + 1, cols, size, taken))
+        for s in reversed(range(k)):
+            stack.append((r + 1, cols | masks[r][s], size + 1, ((r, s), taken)))
     return ExtractionVerdict(True)
 
 

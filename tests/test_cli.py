@@ -11,11 +11,13 @@ from fractions import Fraction
 
 import pytest
 
+import reference_certificate
 from torusvc import cli as cli_module
 from torusvc import extraction, vcsearch
 from torusvc.cli import build_parser, run
 from torusvc.extraction import SymbolMatrix, superdiagonal_matrix
-from torusvc.fileio import read_points, write_matrix, write_points
+from torusvc.fileio import read_matrix, read_points, write_matrix, write_points
+from torusvc.lifting import cube_witness, lift_points, sample_masks
 from torusvc.shatter import KINDS, Family
 from torusvc.torus import PointSet
 
@@ -385,6 +387,53 @@ def test_certificate_with_repeated_mask_rejected(tmp_path):
     assert f":{len(lines) + 1}: repeated mask 0" in err
 
 
+def certified_lift(tmp_path):
+    """The worked lift's points file and certificate path, and the
+    certificate's lines."""
+    base, matrix = write_lift_inputs(tmp_path)
+    lifted = str(tmp_path / "lifted.txt")
+    cert = tmp_path / "cert.txt"
+    assert cli("lift", "--points", base, "--matrix", matrix, "--l", "1/2", "-o", lifted)[0] == 0
+    assert cli("certify-lift", "--points", base, "--matrix", matrix,
+               "--l", "1/2", "-o", str(cert))[0] == 0
+    return lifted, cert, cert.read_text().splitlines()
+
+
+def test_verify_cert_parse_error_after_a_failing_line_exits_2(tmp_path):
+    lifted, cert, lines = certified_lift(tmp_path)
+    lines[1] = "mask=0 shape=" + lines[2].split(" shape=")[1]
+    lines[5] = "mask=4 shape=1 2"
+    cert.write_text("\n".join(lines) + "\n")
+    code, out, err = cli("verify-cert", lifted, str(cert))
+    assert (code, out) == (2, "")
+    assert err == f"error: {cert}:6: malformed certificate line\n"
+
+
+def test_verify_cert_names_the_smallest_failing_mask(tmp_path):
+    lifted, cert, lines = certified_lift(tmp_path)
+    # masks 1 and 3 swap shapes, and mask 3's line moves before mask 1's
+    shape = {m: line.split(" shape=")[1] for m, line in ((1, lines[2]), (3, lines[4]))}
+    lines[2], lines[4] = f"mask=3 shape={shape[1]}", f"mask=1 shape={shape[3]}"
+    cert.write_text("\n".join(lines) + "\n")
+    assert cli("verify-cert", lifted, str(cert)) == (1, "mask 1 fails: shape covers 3\n", "")
+
+
+def test_verify_cert_parse_error_after_a_header_mismatch_exits_2(tmp_path):
+    lifted, cert, lines = certified_lift(tmp_path)
+    lines[0] = lines[0].replace(" 6 ", " 5 ", 1)
+    lines.append("mask=40 shape=")
+    cert.write_text("\n".join(lines) + "\n")
+    code, out, err = cli("verify-cert", lifted, str(cert))
+    assert (code, out) == (2, "")
+    assert err == f"error: {cert}:{len(lines)}: malformed certificate line\n"
+    assert cli("verify-cert", lifted, str(cert), "--sampled")[0] == 2
+    del lines[-1]
+    cert.write_text("\n".join(lines) + "\n")
+    code, out, err = cli("verify-cert", lifted, str(cert))
+    assert (code, out) == (1, "")
+    assert err.startswith("certificate is for dimension 8 / 5 points")
+
+
 def test_certificate_with_nonpositive_denominator_rejected(tmp_path):
     points = tmp_path / "pts.txt"
     points.write_text("1 1 2\n0\n")
@@ -434,6 +483,21 @@ def test_sampled_lift_certificate_needs_sampled(tmp_path):
     assert (code, out) == (1, "")
     assert "pass --sampled" in err
     assert cli("verify-cert", lifted, cert, "--sampled") == (0, "verified 9 masks\n", "")
+
+
+@pytest.mark.parametrize("sample", [(), ("--sample", "10", "--seed", "3")])
+def test_streamed_certificate_bytes_match_the_dict_writer(tmp_path, sample):
+    # the seeded sample of 10 draws mask 60 twice
+    base, matrix = write_lift_inputs(tmp_path)
+    cert = tmp_path / "cert.txt"
+    assert cli("certify-lift", "--points", base, "--matrix", matrix, "--l", "1/2",
+               *sample, "-o", str(cert))[0] == 0
+    inst = lift_points(read_points(base), read_matrix(matrix), Fraction(1, 2))
+    masks = sample_masks(6, 10, 3) if sample else range(64)
+    assert len(masks) > len(set(masks)) or not sample
+    want = tmp_path / "want.txt"
+    reference_certificate.write_certificate({m: cube_witness(inst, m) for m in masks}, 8, 6, want)
+    assert cert.read_bytes() == want.read_bytes()
 
 
 def test_certify_lift_refuses_a_matching_deeper_than_the_recursion_limit(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,33 @@ def test_witness_search_decides_the_ledger_row_at_d_32():
         verdict = check_extraction(m, "witness")
         assert not verdict.holds
         assert validate_failure_witness(m, verdict.failure_witness)
+
+
+def test_witness_search_matches_the_search_without_its_memo():
+    # the (r, V) memo cuts only subtrees the stack has already searched, so
+    # verdicts and failure witnesses are those of the search without it
+    rng = random.Random(1416)
+    failing = 0
+    for _ in range(1200):
+        c = rng.randint(1, 9)
+        k = rng.randint(1, 4)
+        d = rng.randint(c, 12)
+        m = SymbolMatrix(tuple(tuple(rng.randrange(k) for _ in range(d)) for _ in range(c)), k)
+        got = check_extraction(m, "witness")
+        want = reference_lift._check_witness(m)
+        assert (got.holds, got.failure_witness) == (want.holds, want.failure_witness)
+        failing += not got.holds
+    assert 300 < failing < 1100
+
+
+def test_witness_search_decides_the_staircase_at_d_64():
+    # M[i][j] = [j <= i] has the 2-extraction property with c = d - 1 rows:
+    # every support is a prefix or a suffix of the columns
+    d = 64
+    staircase = SymbolMatrix(tuple(tuple(int(j <= i) for j in range(d)) for i in range(d - 1)), 2)
+    start = time.perf_counter()
+    assert check_extraction(staircase, "witness").holds
+    assert time.perf_counter() - start < 0.1
 
 
 def test_exhaustive_checker_matches_word_by_word_reference():

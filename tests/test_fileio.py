@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import reference_certificate
+from bruteforce import random_point_set
 from torusvc.extraction import SymbolMatrix
 from torusvc.fileio import (
     ParseError,
@@ -12,6 +15,12 @@ from torusvc.fileio import (
     write_certificate,
     write_matrix,
     write_points,
+)
+from torusvc.shatter import (
+    realizable_by_any_stripe,
+    realizable_by_box,
+    realizable_by_cube,
+    realizable_by_stripe,
 )
 from torusvc.torus import Arc, Box, Cube, PointSet, Stripe
 
@@ -183,3 +192,34 @@ def test_certificate_numerators_are_exact_for_large_denominators(tmp_path):
     write_certificate(witnesses, 2, 1, path)
     assert path.read_text().splitlines()[1] == f"mask=0 shape=2 {2 * big - 2} ; 4 {big + 2}"
     assert read_certificate(path)[4] == witnesses
+
+
+@pytest.mark.parametrize("oracle", [realizable_by_box, realizable_by_cube,
+                                    realizable_by_any_stripe,
+                                    lambda ps, mask: realizable_by_stripe(ps, mask, F(1, 3))])
+def test_certificate_bytes_match_the_dict_writer(tmp_path, oracle):
+    # a witness of every mask the family realizes: many shapes sharing a
+    # few arcs, over several arc denominators
+    rng = random.Random(7)
+    for _ in range(4):
+        ps = random_point_set(rng, 5, 2, rng.choice((4, 6)))
+        found = {mask: oracle(ps, mask) for mask in range(1 << len(ps))}
+        witnesses = {mask: shape for mask, shape in found.items() if shape is not None}
+        assert len(witnesses) > 8
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        write_certificate(witnesses, ps.dim, len(ps), got)
+        reference_certificate.write_certificate(witnesses, ps.dim, len(ps), want)
+        assert got.read_bytes() == want.read_bytes()
+        assert read_certificate(got)[4] == witnesses
+
+
+def test_streamed_certificate_refuses_what_it_cannot_write(tmp_path):
+    path = tmp_path / "cert.txt"
+    with pytest.raises(ValueError, match="empty certificate"):
+        write_certificate(iter([]), 1, 1, path, 1)
+    assert not path.exists()
+    box = Box((Arc(F(0), F(1, 3)),))
+    with pytest.raises(ValueError, match="mixed shape kinds"):
+        write_certificate(iter([(0, box), (1, Cube((Arc(F(0), F(1, 3)),)))]), 1, 1, path, 3)
+    write_certificate(iter([(0, box), (1, box)]), 1, 1, path, 6)
+    assert path.read_text() == "1 1 6 box\nmask=0 shape=0 ; 2\nmask=1 shape=0 ; 2\n"

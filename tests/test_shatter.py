@@ -20,7 +20,7 @@ from bruteforce import (
 )
 from torusvc.errors import GuardExceeded, PostconditionError
 from torusvc.extraction import SymbolMatrix, sample_extraction_matrix
-from torusvc.lifting import lift_points
+from torusvc.lifting import cube_witness, lift_points, verify_lift
 from torusvc.shatter import (
     BOXES,
     CUBES,
@@ -38,7 +38,8 @@ from torusvc.shatter import (
     shatter_report,
 )
 from torusvc.stripes import build_stripe_shattered_set
-from torusvc.torus import Arc, Box, Cube, PointSet, Stripe, arc_length, shape_contains
+from torusvc.torus import (
+    Arc, Box, Cube, PointSet, Stripe, arc_length, shape_contains, shape_factors)
 
 F = Fraction
 
@@ -89,6 +90,69 @@ def test_covered_mask_agrees_with_shape_contains():
                 assert covered_mask(ps, shape) == expected, (ps, shape)
     with pytest.raises(ValueError):
         covered_mask(equally_spaced(3), Box((Arc(F(0), F(1, 2)), Arc(F(0), F(1, 2)))))
+
+
+def contained(ps, shape):
+    return sum(1 << i for i, p in enumerate(ps.points) if shape_contains(shape, p))
+
+
+def test_covered_mask_cache_agrees_with_shape_contains():
+    # arcs drawn from a small pool recur across shapes and dimensions, so
+    # most covers are read back from PointSet.covers
+    rng = random.Random(16)
+    hits = 0
+    for ps in seeded_point_sets(16, 20, 6, 3, 6):
+        used, lookups = set(), 0
+        ends = sorted({F(t, q) for q in (ps.denom, 2 * ps.denom, 5) for t in range(q)})
+        pool = [Arc(a, b, closed) for a, b in rng.sample(list(itertools.permutations(ends, 2)), 12)
+                for closed in (True, False)]
+        closed = [a for a in pool if a.closed]
+        for _ in range(30):
+            edge = rng.choice(closed)
+            shapes = [
+                Box(tuple(rng.choice(closed) for _ in range(ps.dim))),
+                Cube(tuple(Arc(s, (s + edge.length) % 1)
+                           for s in (rng.choice(ends) for _ in range(ps.dim)))),
+                Stripe(rng.randrange(ps.dim), rng.choice([a for a in pool if not a.closed]), ps.dim),
+            ]
+            for shape in shapes:
+                assert covered_mask(ps, shape) == contained(ps, shape), (ps, shape)
+                factors = shape_factors(shape, ps.dim)
+                used.update((j, arc.grid, arc.closed) for j, arc in factors)
+                lookups += len(shape.arcs) if isinstance(shape, Box) else 1
+        assert set(ps.covers) == used
+        hits += lookups - len(used)
+    assert hits > lookups / 2
+
+
+def test_covered_mask_cache_keys_the_dimension_and_the_point_set():
+    arc = Arc(F(0), F(1, 3))
+    ps = PointSet(2, 6, ((F(1, 6), F(1, 2)), (F(1, 2), F(1, 6)), (F(1, 3), F(1, 3))))
+    # the same Arc object in both dimensions covers different points in each
+    assert covered_mask(ps, Stripe(0, Arc(F(0), F(1, 3), closed=False), 2)) == 0b001
+    assert covered_mask(ps, Box((arc, Arc(F(0), F(1, 2))))) == 0b101
+    assert covered_mask(ps, Box((arc, arc))) == 0b100
+    assert covered_mask(ps, Box((Arc(F(0), F(1, 2)), arc))) == 0b110
+    assert len(ps.covers) == 5
+    # the same arcs on a point set over another denominator: its own covers
+    other = PointSet(2, 4, ((F(1, 4), F(1, 2)), (F(1, 2), F(1, 4))))
+    assert covered_mask(other, Box((arc, arc))) == contained(other, Box((arc, arc))) == 0b00
+    assert covered_mask(other, Box((Arc(F(0), F(1, 2)), arc))) == 0b10
+    assert len(ps.covers) == 5 and len(other.covers) == 3
+    assert other == PointSet(2, 4, other.points)  # the covers take no part in equality
+
+
+def test_verify_lift_covers_each_distinct_arc_of_a_dimension_once():
+    # the benchmark's seed-1 lift: the n = 2 construction through a sampled
+    # 4 x 8 matrix, 4096 cubes
+    base = build_stripe_shattered_set(2, F(1, 2))
+    matrix, _ = sample_extraction_matrix(1, 4, F(2), 1000, 736600063)
+    inst = lift_points(base, matrix, F(1, 2))
+    assert verify_lift(inst, range(1 << 12)).ok
+    pairs = {(j, arc.grid, arc.closed) for mask in range(1 << 12)
+             for j, arc in enumerate(cube_witness(inst, mask).arcs)}
+    assert set(inst.lifted.covers) == pairs
+    assert len(pairs) <= 70
 
 
 def test_box_witnesses_verify():
