@@ -194,7 +194,9 @@ def _cmd_extract_sample(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    inst = lift_points(read_points(args.points), read_matrix(args.matrix), parse_rat(args.l))
+    inst = lift_points(
+        read_points(args.points), read_matrix(args.matrix), parse_rat(args.l)
+    )
     write_points(inst.lifted, args.output)
     print(f"wrote {len(inst.lifted)} lifted points in dimension {inst.lifted.dim}")
     return EXIT_OK

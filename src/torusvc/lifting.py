@@ -45,7 +45,7 @@ class LiftInstance:
 class LiftReport:
     checked: int
     failures: list
-    denom: int = 1  # lcm of the arc grid denominators (Arc.grid's q) of the cubes checked
+    denom: int  # lcm of the arc grid denominators (Arc.grid's q) of the cubes checked
 
     @property
     def ok(self) -> bool:
@@ -167,9 +167,8 @@ def sample_masks(total_points: int, count: int, seed: int):
 
 
 def verify_lift(inst: LiftInstance, masks) -> LiftReport:
-    """Check that cube witnesses realize each of the masks: a sequence such
-    as range(1 << n) for every mask, or a sample_masks draw.  The report's
-    denom is the denominator of the certificate of their cubes."""
+    """Check that cube witnesses realize each of the masks (range(1 << n) for every mask, or
+    a sample_masks draw); the report's denom is the denominator of their cubes' certificate."""
     _check_guard(masks)
     failures = []
     denoms = set()
