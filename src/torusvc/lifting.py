@@ -37,8 +37,8 @@ class LiftInstance:
     length: Rat  # stripe length l used on the base set
     lifted: PointSet  # c*u points in T^d, group-major order
     canonical_n: int  # the construction's n when base is the stripe construction, else None
-    # cube_witness's table: (edge, filler arc, {base subset: cell}), cells filled on demand
-    cells: tuple = field(repr=False, compare=False)
+    filler: Arc = field(repr=False, compare=False)  # cube_witness's arc for unmatched dimensions
+    cells: dict = field(repr=False, compare=False)  # cube_witness's {base subset: cell}, on demand
 
 
 @dataclass
@@ -62,8 +62,8 @@ def lift_points(base: PointSet, matrix: SymbolMatrix, length: Rat) -> LiftInstan
     points = tuple(tuple((i + p[s]) * scale for s in matrix.rows[i])
                    for i in range(c) for p in base.points)
     lifted = PointSet(d, (c + 1) * base.denom, points)
-    cells = (1 - length * scale, Arc((c + length) * scale, c * scale), {})
-    return LiftInstance(base, matrix, length, lifted, _detect_construction(base, length), cells)
+    return LiftInstance(base, matrix, length, lifted, _detect_construction(base, length),
+                        Arc((c + length) * scale, c * scale), {})
 
 
 def _detect_construction(base: PointSet, length: Rat):
@@ -132,13 +132,13 @@ def cube_witness(inst: LiftInstance, subset: Mask) -> Cube:
     c, d, u = inst.matrix.n_rows, inst.matrix.n_cols, len(inst.base)
     if subset < 0 or subset >> (c * u):
         raise ValueError("mask out of range for the lifted point set")
-    edge, filler, memo = inst.cells
 
     # the cube is the complement of the stripe union, so the stripes must
     # cover exactly the points outside the requested subset
     full = (1 << u) - 1
     groups = [~(subset >> (i * u)) & full for i in range(c)]
     # a built cell is read from the memo here; _cell builds one, or raises a stored error
+    memo = inst.cells
     cells = [cell if type(cell := memo.get(g)) is tuple else _cell(inst, memo, g) for g in groups]
     size, match = maximum_matching([supports[i] for i, (_, supports, _) in enumerate(cells)], d)
     if size < c:
@@ -146,10 +146,10 @@ def cube_witness(inst: LiftInstance, subset: Mask) -> Cube:
             "extraction matching failed: matrix lacks the extraction property "
             f"for anchor word {tuple(anchor for anchor, _, _ in cells)}"
         )
-    arcs = [filler] * d
+    arcs = [inst.filler] * d
     for i, (_, _, cell_arcs) in enumerate(cells):
         arcs[match[i]] = cell_arcs[i]
-    return Cube(tuple(arcs), edge)
+    return Cube(tuple(arcs))
 
 
 def _check_guard(masks) -> None:

@@ -30,17 +30,16 @@ with the maximal per-dimension enclosing length, a multiple of 1/D, or
 with the minimal edge 1/(2D), so cube edges run over t/(2D) for t = 1 and
 the even t, ascending, with starts on the quarter-grid.  Fixed-length
 stripes start on {t/g}, g = 2 lcm(D, denominator of the length), where
-every critical start lies.
+every start where an arc end crosses a value lies; those and 0 are scanned.
 
 Coverage is integer arithmetic on PointSet.cols (numerators over D): _cover
-rounds an arc's grid endpoints (Arc.grid) onto the point grid and XORs two
-prefix masks of PointSet.prefix, which each point set builds once.
+rounds Arc.grid's endpoints onto the point grid and XORs two prefix masks
+of PointSet.prefix, built once, like PointSet.tables (once per family).
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .errors import GuardExceeded, PostconditionError
@@ -51,6 +50,7 @@ from .torus import (
     PointSet,
     Rat,
     Stripe,
+    _check_coord,
     arc_contains,  # noqa: F401  (a binding site bench/test_bench.py checks)
     prefix_table,
     shape_factors,
@@ -60,7 +60,6 @@ Mask = int
 
 SHATTER_GUARD_N = 30
 GROWTH_GUARD_N = 20
-TABLE_CACHE_SIZE = 8  # point sets (times family parameters) with cached tables
 PROBE_SHIFT = 8  # shatter_report tries 2^(n - 8) masks one at a time before the full closure
 
 BOXES = "boxes"
@@ -83,6 +82,7 @@ class Family:
         if self.kind == STRIPES_FIXED:
             if self.length is None or not (0 < self.length < 1):
                 raise ValueError(f"family {self.kind} needs a length in (0,1)")
+            _check_coord(self.length, "stripe length")  # refuses a float
         elif self.length is not None:
             raise ValueError(f"family {self.kind} takes no length")
 
@@ -146,14 +146,16 @@ def _runs(denom: int, prefix: tuple) -> tuple:
 
 
 def _first_arcs(denom: int, prefix: tuple, g: int, width: int, closed: bool) -> tuple:
-    """Per dimension, {trace: (s, e)} for the first arc from s/g to
-    e/g = (s + width)/g mod 1 giving each trace, scanning s upward."""
+    """Per dimension, {trace: (s, e)} for the first arc from s/g to e/g = (s + width)/g mod 1
+    giving each trace, scanning upward s = 0 and the starts where an end crosses a value."""
+    m = g // denom
+    shifts = (1, -width) if closed else (0, 1 - width)  # s leaves v m/g, s + width reaches it
     tables = []
     for table in prefix:
         first = {}
-        for s in range(g):
+        for s in sorted({0, *((v * m + k) % g for v in table[0] for k in shifts)}):
             e = (s + width) % g
-            first.setdefault(_cover(table, s, e, g // denom, closed), (s, e))
+            first.setdefault(_cover(table, s, e, m, closed), (s, e))
         tables.append(first)
     return tuple(tables)
 
@@ -162,14 +164,14 @@ def _components(denom: int, prefix: tuple, family: Family):
     """(g, closed, components): the grid 1/g of the family's arc ends,
     whether its arcs are closed, and the (label, per-dimension tables)
     whose closures it unites, in scan order: the one box closure; a cube
-    closure per edge t/(2D) for t = 1 and each even t, the label, ascending
-    (built lazily; by the module docstring no other edge realizes more); a
-    stripe closure per anchor dimension, the label."""
+    closure per edge t/(2D) for t = 1 and each even t, ascending (built
+    lazily; by the module docstring no other edge realizes more); a
+    stripe closure per anchor dimension, the label.  Other labels are None."""
     g = 4 * denom
     if family.kind == BOXES:
         return g, True, [(None, _runs(denom, prefix))]
     if family.kind == CUBES:
-        return g, True, ((Fraction(t, 2 * denom), _first_arcs(denom, prefix, g, 2 * t, True))
+        return g, True, ((None, _first_arcs(denom, prefix, g, 2 * t, True))
                          for t in (1, *range(2, 2 * denom, 2)))
     if family.kind == STRIPES_ANY:
         tables = _runs(denom, prefix)
@@ -197,8 +199,7 @@ def _closure(tables, full: Mask) -> dict:
 def realizable_masks(cols: tuple, denom: int, family: Family) -> set:
     """The masks the family realizes on the points with integer view cols
     (numerators over denom): the masks of each closure, level by level
-    with no choice of traces kept, united until all 2^n are present.  The
-    tables are built afresh and left out of the oracles' caches."""
+    with no choice of traces kept, united until all 2^n are present."""
     prefix = prefix_table(cols)
     full = prefix[0][1][-1]
     masks = set()
@@ -212,11 +213,13 @@ def realizable_masks(cols: tuple, denom: int, family: Family) -> set:
     return masks
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _family_tables(denom: int, cols: tuple, family: Family) -> tuple:
-    """The oracles' cached _components of a point set, every table built."""
-    g, closed, components = _components(denom, prefix_table(cols), family)
-    return g, closed, tuple(components)
+def _family_tables(ps: PointSet, family: Family) -> tuple:
+    """The oracles' _components of ps, every table built, kept in ps.tables."""
+    tables = ps.tables.get(family)
+    if tables is None:
+        g, closed, components = _components(ps.denom, ps.prefix, family)
+        tables = ps.tables[family] = g, closed, tuple(components)
+    return tables
 
 
 def _minimal(masks) -> list:
@@ -288,8 +291,8 @@ def _all_ends(components, full: Mask) -> dict:
 
 
 def _shape(ps: PointSet, family: Family, g: int, closed: bool, subset: Mask, label, ends, arcs):
-    """The checked shape of subset's label and arc ends, building each
-    distinct arc once per arcs dict."""
+    """The checked shape of subset's label (a stripe's anchor) and arc
+    ends, building each distinct arc once per arcs dict."""
     for se in ends:
         if se not in arcs:
             arcs[se] = Arc(Fraction(se[0], g), Fraction(se[1], g), closed)
@@ -297,7 +300,7 @@ def _shape(ps: PointSet, family: Family, g: int, closed: bool, subset: Mask, lab
     if family.kind == BOXES:
         shape = Box(factors)
     elif family.kind == CUBES:
-        shape = Cube(factors, label)
+        shape = Cube(factors)
     else:
         shape = Stripe(label, factors[0], ps.dim)
     return _checked(ps, subset, shape)
@@ -306,7 +309,7 @@ def _shape(ps: PointSet, family: Family, g: int, closed: bool, subset: Mask, lab
 def _oracle(ps: PointSet, family: Family, subset: Mask):
     if subset < 0 or subset >> len(ps):
         raise ValueError(f"mask {subset:#x} refers to out-of-range point indices")
-    g, closed, components = _family_tables(ps.denom, ps.cols, family)
+    g, closed, components = _family_tables(ps, family)
     found = _first_ends(components, (1 << len(ps)) - 1, subset)
     return None if found is None else _shape(ps, family, g, closed, subset, *found, {})
 
@@ -336,7 +339,7 @@ def scan_stripe(ps: PointSet, subset: Mask, length: Rat):
     """The first stripe of the given length realizing the subset with start
     + length <= 1, or None, scanning every dimension then its table: the
     first start is the least, so no later one wraps less."""
-    g, _, components = _family_tables(ps.denom, ps.cols, Family(STRIPES_FIXED, length))
+    g, _, components = _family_tables(ps, Family(STRIPES_FIXED, length))
     for j, (first,) in components:
         if subset in first:
             s, e = first[subset]
@@ -357,7 +360,7 @@ def shatter_report(ps: PointSet, family: Family) -> ShatterReport:
     n = len(ps)
     if n > SHATTER_GUARD_N:
         raise GuardExceeded(f"shatter_report guard: n={n} > {SHATTER_GUARD_N}")
-    g, closed, components = _family_tables(ps.denom, ps.cols, family)
+    g, closed, components = _family_tables(ps, family)
     full = (1 << n) - 1
     found = {}
     for mask in range((full + 1) >> PROBE_SHIFT):

@@ -12,7 +12,7 @@ forward, so a stripe anchored there can pick out either side.
 from fractions import Fraction
 from math import lcm
 
-from .torus import ONE, Arc, PointSet, Rat, Stripe
+from .torus import ONE, Arc, PointSet, Rat, Stripe, _check_coord
 
 Mask = int
 
@@ -33,9 +33,9 @@ def pair_rep(subset: Mask, n_points: int) -> Mask:
 
 
 def _check_length(l: Rat):
-    l = Fraction(l)
     if not (0 < l < 1):
         raise ValueError(f"stripe length {l} outside (0,1)")
+    _check_coord(l, "stripe length")  # refuses a float
     return l
 
 

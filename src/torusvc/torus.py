@@ -95,14 +95,13 @@ class Box:
 
 @dataclass(frozen=True)
 class Cube(Box):
-    """Box whose arcs all have the same length."""
+    """Box whose arcs all have the same length, its edge."""
 
-    edge: Rat = None
+    edge: Rat = field(init=False)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.edge is None:
-            object.__setattr__(self, "edge", self.arcs[0].length)
+        object.__setattr__(self, "edge", self.arcs[0].length)
         num, den = self.edge.numerator, self.edge.denominator
         for a in self.arcs:
             _, _, w, q = a.grid
@@ -175,6 +174,8 @@ class PointSet:
     prefix: tuple = field(init=False, repr=False, compare=False)
     # {(j, arc.grid, arc.closed): mask of the points in the arc}, shatter.covered_mask's cache
     covers: dict = field(init=False, repr=False, compare=False)
+    # {family: its shatter tables}, shatter._family_tables's cache
+    tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -194,6 +195,7 @@ class PointSet:
         object.__setattr__(self, "cols", tuple(map(tuple, cols)))
         object.__setattr__(self, "prefix", prefix_table(self.cols))
         object.__setattr__(self, "covers", {})
+        object.__setattr__(self, "tables", {})
 
     def __len__(self) -> int:
         return len(self.points)

@@ -202,4 +202,4 @@ def cube_witness(inst, subset: Mask) -> Cube:
     for n in range(d):
         s, e = stripe_arcs.get(n, filler)
         arcs.append(Arc(e % ONE, s % ONE))  # closed complement of the open stripe
-    return Cube(tuple(arcs), 1 - l * scale)
+    return Cube(tuple(arcs))

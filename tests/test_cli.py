@@ -321,6 +321,16 @@ def test_stripes_length_outside_the_unit_interval_is_a_usage_error(tmp_path):
         2, "", "error: family stripes needs a length in (0,1)\n")
 
 
+def test_shatter_with_a_fine_stripe_length_scans_only_critical_starts(tmp_path):
+    # g = 2 lcm(2, 10^8) grid starts, of which the table scan tries 4
+    path = tmp_path / "two.txt"
+    path.write_text("1 2 2\n0\n1\n")
+    start = time.perf_counter()
+    assert cli("shatter", str(path), "--family", "stripes", "--l", "1/100000000") == (
+        1, "not shattered missing-mask=3\n", "")
+    assert time.perf_counter() - start < 2
+
+
 def test_vc_exact_rejects_l_outside_stripes():
     code, out, err = cli("vc-exact", "--d", "1", "--family", "boxes", "--l", "1/2")
     assert (code, out) == (2, "")

@@ -1,8 +1,10 @@
 import ast
+import gc
 import hashlib
 import itertools
 import random
 from fractions import Fraction
+import weakref
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,7 @@ from torusvc.shatter import (
     realizable_by_cube,
     realizable_by_stripe,
     realizable_masks,
+    scan_stripe,
     shatter_report,
 )
 from torusvc.stripes import build_stripe_shattered_set
@@ -239,6 +242,13 @@ def test_family_validation():
         Family("spheres")
     with pytest.raises(ValueError):
         Family(STRIPES_FIXED)
+    # a float length in range is refused too, before any table reads its denominator
+    with pytest.raises(ValueError, match=r"^stripe length 0\.5 is not a Fraction or an int$"):
+        Family(STRIPES_FIXED, 0.5)
+    with pytest.raises(ValueError, match="not a Fraction"):
+        realizable_by_stripe(PointSet(1, 2, ((F(0),), (F(1, 2),))), 1, 0.5)
+    with pytest.raises(ValueError, match=r"^family stripes needs a length in \(0,1\)$"):
+        Family(STRIPES_FIXED, 1.5)
     with pytest.raises(ValueError):
         Family(BOXES, F(1, 2))
     with pytest.raises(ValueError):
@@ -336,12 +346,87 @@ def test_one_mask_search_finds_the_witness_of_the_closure(family):
     # a time; they must name the (closure, trace) choice the closure keeps,
     # which is the one the back-pointer closure walked back to
     for ps in seeded_point_sets(53, 30, 6, 3, 7):
-        _, _, components = shatter._family_tables(ps.denom, ps.cols, family)
+        _, _, components = shatter._family_tables(ps, family)
         full = (1 << len(ps)) - 1
         closure = shatter._all_ends(components, full)
         assert closure == reference_closure._all_ends(components, full), ps
         for mask in range(full + 1):
             assert shatter._first_ends(components, full, mask) == closure.get(mask), (ps, mask)
+
+
+def scanned_first_arcs(cols, denom, g, width, closed):
+    """Per dimension, {trace: (s, e)} for the first arc from s/g to
+    (s + width)/g mod 1 giving each trace, trying every start s in order
+    and testing each point on its own: point i at v/denom is in the arc when
+    its offset (v g/denom - s) mod g past the start is within [0, width], or
+    (0, width) for an open arc."""
+    m = g // denom
+    tables = []
+    for col in cols:
+        first = {}
+        for s in range(g):
+            offsets = [(v * m - s) % g for v in col]
+            trace = sum(1 << i for i, t in enumerate(offsets)
+                        if (0 <= t <= width if closed else 0 < t < width))
+            first.setdefault(trace, (s, (s + width) % g))
+        tables.append(first)
+    return tuple(tables)
+
+
+def test_first_arcs_scan_only_the_starts_where_a_trace_changes():
+    # the same first arc per trace, in the same order, as trying every start
+    rng = random.Random(61)
+    for _ in range(400):
+        denom = rng.randint(1, 9)
+        dim, n = rng.randint(1, 2), rng.randint(0, 6)
+        cols = tuple(tuple(rng.randrange(denom) for _ in range(n)) for _ in range(dim))
+        g = denom * rng.choice((1, 2, 4, 6))
+        if g < 2:
+            continue
+        width, closed = rng.randrange(1, g), rng.random() < 0.5
+        got = shatter._first_arcs(denom, shatter.prefix_table(cols), g, width, closed)
+        want = scanned_first_arcs(cols, denom, g, width, closed)
+        assert [list(t.items()) for t in got] == [list(t.items()) for t in want], (
+            cols, denom, g, width, closed)
+
+
+def test_tables_are_built_once_per_point_set_and_family(monkeypatch):
+    built = []
+    components = shatter._components
+
+    def counting(denom, prefix, family):
+        built.append(family)
+        return components(denom, prefix, family)
+
+    monkeypatch.setattr(shatter, "_components", counting)
+    ps = PointSet(2, 5, ((F(0), F(1, 5)), (F(2, 5), F(4, 5)), (F(3, 5), F(0))))
+    third = Family(STRIPES_FIXED, F(1, 3))
+    for _ in range(2):
+        realizable_by_box(ps, 0b101)
+        shatter_report(ps, Family(BOXES))
+        realizable_by_cube(ps, 0b011)
+        realizable_by_stripe(ps, 0b001, F(1, 3))
+        scan_stripe(ps, 0b001, F(1, 3))
+    assert built == [Family(BOXES), Family(CUBES), third]
+    assert list(ps.tables) == built
+    # an equal point set that is another object builds its own tables
+    twin = PointSet(ps.dim, ps.denom, ps.points)
+    assert twin == ps and twin.tables == {}
+    realizable_by_box(twin, 0b101)
+    assert built[3:] == [Family(BOXES)] and list(twin.tables) == [Family(BOXES)]
+
+
+def test_tables_are_freed_with_their_point_set():
+    ps = PointSet(1, 4, ((F(0),), (F(1, 4),), (F(1, 2),)))
+    family = Family(STRIPES_FIXED, F(1, 3))
+    assert shatter_report(ps, family).shattered is False
+    held = weakref.ref(family)
+    del family
+    gc.collect()
+    assert held() is not None  # the key of ps's tables
+    del ps
+    gc.collect()
+    assert held() is None
 
 
 def test_one_mask_search_recurses_only_on_a_cut():
@@ -463,7 +548,7 @@ def test_package_has_no_assert_statements():
     # python -O strips asserts, so post-conditions must raise explicitly
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(Path(torusvc.__file__).parent.glob("*.py"))
+        for path in sorted(Path(torusvc.__file__).parent.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
     ]

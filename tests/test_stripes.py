@@ -58,6 +58,11 @@ def test_construction_rejects_bad_input():
         build_stripe_shattered_set(2, F(3, 2))
     with pytest.raises(ValueError):
         build_stripe_shattered_set(3, F(1, 2), ambient_dim=7)
+    # a float length is refused, not turned into a Fraction over 2^55
+    with pytest.raises(ValueError, match=r"^stripe length 0\.1 is not a Fraction or an int$"):
+        build_stripe_shattered_set(2, 0.1)
+    with pytest.raises(ValueError, match=r"^stripe length 1\.5 outside \(0,1\)$"):
+        stripe_witness(2, 1.5, 0)
 
 
 def test_witness_arc_contains_target_only_and_never_wraps():

@@ -124,14 +124,13 @@ def test_cube_derives_and_checks_edge():
     assert cube.edge == F(1, 3)
     with pytest.raises(ValueError):
         Cube((Arc(F(0), F(1, 3)), Arc(F(1, 2), F(3, 4))))
-    # lengths 2/6 on the 1/6 grid, plain and wrapping, against an edge of 1/3
-    third = F(1, 3)
-    cube = Cube((Arc(F(1, 2), F(5, 6)), Arc(F(5, 6), F(1, 6)), Arc(F(1, 6), F(1, 2))), third)
-    assert [a.grid[2:] for a in cube.arcs] == [(2, 6)] * 3
+    # lengths 2/6 on the 1/6 grid, plain and wrapping: an edge of 1/3
+    cube = Cube((Arc(F(1, 2), F(5, 6)), Arc(F(5, 6), F(1, 6)), Arc(F(1, 6), F(1, 2))))
+    assert [a.grid[2:] for a in cube.arcs] == [(2, 6)] * 3 and cube.edge == F(1, 3)
     with pytest.raises(ValueError):
-        Cube((Arc(F(1, 2), F(5, 6) + F(1, 1000)),), third)
-    with pytest.raises(ValueError):
-        Cube((Arc(F(1, 2), F(5, 6)),), third + F(1, 1000))
+        Cube((Arc(F(1, 2), F(5, 6)), Arc(F(1, 2), F(5, 6) + F(1, 1000))))
+    with pytest.raises(TypeError):
+        Cube(cube.arcs, F(1, 3))  # the edge is derived, never given
 
 
 def test_box_requires_closed_arcs():

@@ -9,7 +9,7 @@ import reference_canonical
 import reference_enumeration
 from bruteforce import brute_box_masks, fine_growth, quarter_arc_masks
 
-from torusvc import shatter, vcsearch
+from torusvc import vcsearch
 from torusvc.errors import GuardExceeded, PostconditionError, VCBracket
 from torusvc.shatter import (
     BOXES,
@@ -19,8 +19,6 @@ from torusvc.shatter import (
     Family,
     ShatterReport,
     covered_mask,
-    realizable_by_box,
-    realizable_by_cube,
     realizable_masks,
     shatter_report,
 )
@@ -339,21 +337,3 @@ def test_search_raises_when_the_recheck_rejects_its_configuration(monkeypatch):
     monkeypatch.setattr(vcsearch, "shatter_report", lambda ps, family: ShatterReport(False, 0))
     with pytest.raises(PostconditionError, match="fails its re-check"):
         search_shattered(2, 4, budget=3000, seed=0)
-
-
-def test_scoring_configurations_keeps_the_oracles_cached_tables():
-    ps = PointSet(2, 5, ((F(0), F(1, 5)), (F(2, 5), F(4, 5)), (F(3, 5), F(0))))
-    realizable_by_box(ps, 0b101)
-    realizable_by_cube(ps, 0b011)
-    cache = shatter._family_tables
-    before = cache.cache_info().misses
-    assert vc_exact(2, Family(BOXES), 5)[0] == 5
-    assert vc_exact(1, Family(CUBES), 4)[0] == 3
-    assert search_shattered(2, 4, 300, 0) is not None
-    # the scoring builds its tables afresh: only the three re-checks by
-    # shatter_report (a family's tables each) went through the cache
-    assert cache.cache_info().misses - before <= 3
-    hits = cache.cache_info().hits
-    shatter._family_tables(ps.denom, ps.cols, Family(BOXES))
-    shatter._family_tables(ps.denom, ps.cols, Family(CUBES))
-    assert cache.cache_info().hits == hits + 2
