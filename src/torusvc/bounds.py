@@ -51,6 +51,7 @@ floor(log2 d) is taken via bit length.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 from .errors import NotCertified, PostconditionError
 
@@ -132,15 +133,15 @@ def _product_exceeds(terms, factor: int = 1) -> bool:
 
 
 def _exceeds(terms, bits: int, known=None) -> bool:
-    """prod x^w > 1 over the terms (x, w), times K if ``known`` is (brackets, value):
-    brackets[p] brackets 2^p log2 K at both precisions p, and value() is K.
+    """prod x^w > 1 over the terms (x, w), times K if ``known`` is (bracket, value):
+    bracket(p) brackets 2^p log2 K at each precision p tried, and value() is K.
 
     Decided on brackets of 2^p sum w log2 x at p = bits + PRECISION_BITS and
     then 2p; if both straddle 0, by ``_product_exceeds``.
     """
     first = bits + PRECISION_BITS
     for p in (first, 2 * first):
-        lo, hi = known[0][p] if known else (0, 0)
+        lo, hi = known[0](p) if known else (0, 0)
         for x, w in terms:
             x_lo, x_hi = _log2_bracket(x, p)
             if w < 0:
@@ -229,12 +230,9 @@ def refined_upper_bound_n(d: int) -> int:
     """
     if d < 1:
         raise ValueError("d must be positive")
-    bits = d.bit_length()
-    p = bits + PRECISION_BITS
-    known = ({p: _refined_constant(d, p), 2 * p: _refined_constant(d, 2 * p)},
-             lambda: double_factorial(2 * d - 1))
+    known = (cache(partial(_refined_constant, d)), lambda: double_factorial(2 * d - 1))
     return _smallest_persistent(
-        lambda n: _exceeds(((2, n - d), (n, -2 * d)), bits, known), _refined_start(d))
+        lambda n: _exceeds(((2, n - d), (n, -2 * d)), d.bit_length(), known), _refined_start(d))
 
 
 @dataclass

@@ -211,8 +211,6 @@ def _cmd_certify_lift(args) -> int:
         shown = ", ".join(f"{m:x}" for m in report.failures[:8])
         print(f"lift verification failed on {len(report.failures)} masks: {shown}")
         return EXIT_FAIL
-    if args.sample is not None:
-        masks = sorted(set(masks))
     # each cube is built again as its line is written, so no witness is held
     write_certificate(((mask, cube_witness(inst, mask)) for mask in masks),
                       inst.lifted.dim, n, args.output, report.denom)

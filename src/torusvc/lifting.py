@@ -158,17 +158,18 @@ def _check_guard(masks) -> None:
         raise GuardExceeded(f"verify_lift guard: more than 2^{VERIFY_GUARD_POINTS} masks")
 
 
-def sample_masks(total_points: int, count: int, seed: int):
-    """A seeded sample of count masks, with repeats, for verify_lift; a
+def sample_masks(total_points: int, count: int, seed: int) -> list:
+    """The sorted distinct masks of count seeded draws, for verify_lift; a
     count past its guard is refused before any mask is drawn."""
     _check_guard(range(count))
     rng = random.Random(seed)
-    return [rng.randrange(1 << total_points) for _ in range(count)]
+    return sorted({rng.randrange(1 << total_points) for _ in range(count)})
 
 
 def verify_lift(inst: LiftInstance, masks) -> LiftReport:
-    """Check that cube witnesses realize each of the masks (range(1 << n) for every mask, or
-    a sample_masks draw); the report's denom is the denominator of their cubes' certificate."""
+    """Check that cube witnesses realize each of the masks, given distinct (range(1 << n)
+    for every mask, or sample_masks); the report's denom is the denominator of their
+    cubes' certificate."""
     _check_guard(masks)
     failures = []
     denoms = set()

@@ -339,13 +339,13 @@ def scan_stripe(ps: PointSet, subset: Mask, length: Rat):
     """The first stripe of the given length realizing the subset with start
     + length <= 1, or None, scanning every dimension then its table: the
     first start is the least, so no later one wraps less."""
-    g, _, components = _family_tables(ps, Family(STRIPES_FIXED, length))
+    family = Family(STRIPES_FIXED, length)
+    g, closed, components = _family_tables(ps, family)
     for j, (first,) in components:
         if subset in first:
             s, e = first[subset]
             if s < e or e == 0:
-                arc = Arc(Fraction(s, g), Fraction(e, g), closed=False)
-                return _checked(ps, subset, Stripe(j, arc, ps.dim))
+                return _shape(ps, family, g, closed, subset, j, ((s, e),), {})
     return None
 
 

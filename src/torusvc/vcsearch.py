@@ -137,33 +137,28 @@ def _pack(cols, n: int) -> int:
     return code
 
 
-def _unpack(code: int, n: int, d: int) -> tuple:
-    """The sorted tuple of points that _pack packed into code: its n·d
-    base-n digits, d per point."""
-    digits = []
-    for _ in range(n * d):
-        code, x = divmod(code, n)
-        digits.append(x)
-    digits.reverse()
-    return tuple(tuple(digits[i:i + d]) for i in range(0, n * d, d))
-
-
-def _images(levels) -> set:
-    """The packed (see _pack) anchored images of a configuration: its
-    dense-ranked levels, reflected per dimension, rotated so that one point
-    sits at the origin, and its dimensions put in every order."""
+def _images(levels) -> dict:
+    """{packed key (see _pack): columns} of the anchored images of a
+    configuration: its dense-ranked levels, reflected per dimension, rotated
+    so that one point sits at the origin, and its dimensions put in every
+    order."""
     n = len(levels[0])
     dense = []
     for col in levels:
         rank = {v: r for r, v in enumerate(sorted(set(col)))}
         dense.append(([rank[v] for v in col], len(rank)))
     return {
-        _pack(cols, n)
+        _pack(cols, n): cols
         for p in range(n)
         for signs in itertools.product((1, -1), repeat=len(dense))
         for cols in itertools.permutations(
             [[s * (x - col[p]) % b for x in col] for (col, b), s in zip(dense, signs)])
     }
+
+
+def _least(images: dict) -> tuple:
+    """The sorted points of the least of the images (see _images)."""
+    return tuple(sorted(zip(*images[min(images)])))
 
 
 def canonical_class(levels) -> tuple:
@@ -182,7 +177,7 @@ def canonical_class(levels) -> tuple:
     the reflections and the permutation, one rotation per dimension sends
     p to 0.
     """
-    return _unpack(min(_images(levels)), len(levels[0]), len(levels))
+    return _least(_images(levels))
 
 
 def _shattered(levels, family: Family) -> bool:
@@ -200,8 +195,8 @@ def shattered_frontiers(d: int, family: Family, n_max: int) -> list:
     boxes or any-length stripes, up to n_max or the last nonempty one.
     Each candidate is keyed by its packed sorted points.  A shattered one
     marks its whole orbit, its anchored images, as scored, and its class is
-    their minimum; so by the orbit lemma each shattered orbit is scored
-    once per n, and each other point multiset once."""
+    read off the least of them; so by the orbit lemma each shattered orbit
+    is scored once per n, and each other point multiset once."""
     if family.kind not in (BOXES, STRIPES_ANY):
         raise ValueError(f"order type does not decide the verdict of {family.kind}")
     if n_max < 1:
@@ -216,13 +211,13 @@ def shattered_frontiers(d: int, family: Family, n_max: int) -> list:
                 continue
             if _shattered(levels, family):
                 images = _images(levels)
-                scored |= images
-                found.append(min(images))
+                scored.update(images)
+                found.append(_least(images))
             else:
                 scored.add(key)
         if not found:
             break
-        frontiers.append([_unpack(code, n, d) for code in sorted(found)])
+        frontiers.append(sorted(found))
     return frontiers
 
 

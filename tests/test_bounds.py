@@ -267,11 +267,27 @@ def test_exceeds_decides_like_the_exact_product(exact):
         if i % 4 == 3:  # the known factor K = 3^v, against a term (3, -v)
             v = rng.randint(1, 20)
             terms += ((3, -v),)
-            known = ({p: _log2_bracket(3**v, p) for p in range(32, 72)}, lambda v=v: 3**v)
+            known = (lambda p, v=v: _log2_bracket(3**v, p), lambda v=v: 3**v)
         want = _product_exceeds(terms, known[1]() if known else 1)
         assert _exceeds(terms, bits, known) == want, terms
     # each case makes at most one exact comparison, so both paths ran
     assert 0 < len(exact) < len(cases)
+
+
+def test_refined_constant_is_bracketed_once_per_d(monkeypatch):
+    # the precision-2p bracket is built only when the first one straddles 0,
+    # which no d of the benchmark's list needs
+    calls = []
+
+    def counted(d, p):
+        calls.append(d)
+        return _refined_constant(d, p)
+
+    monkeypatch.setattr(bounds, "_refined_constant", counted)
+    ds = [1 << e for e in range(17)] + [1000]
+    for d in ds:
+        refined_upper_bound_n(d)
+    assert calls == ds
 
 
 def test_ln2_literal_bracket():

@@ -497,14 +497,14 @@ def test_sampled_lift_certificate_needs_sampled(tmp_path):
 
 @pytest.mark.parametrize("sample", [(), ("--sample", "10", "--seed", "3")])
 def test_streamed_certificate_bytes_match_the_dict_writer(tmp_path, sample):
-    # the seeded sample of 10 draws mask 60 twice
+    # the seeded sample of 10 draws mask 60 twice, so it holds 9 masks
     base, matrix = write_lift_inputs(tmp_path)
     cert = tmp_path / "cert.txt"
     assert cli("certify-lift", "--points", base, "--matrix", matrix, "--l", "1/2",
                *sample, "-o", str(cert))[0] == 0
     inst = lift_points(read_points(base), read_matrix(matrix), Fraction(1, 2))
     masks = sample_masks(6, 10, 3) if sample else range(64)
-    assert len(masks) > len(set(masks)) or not sample
+    assert len(masks) == (9 if sample else 64)
     want = tmp_path / "want.txt"
     reference_certificate.write_certificate({m: cube_witness(inst, m) for m in masks}, 8, 6, want)
     assert cert.read_bytes() == want.read_bytes()

@@ -1,4 +1,5 @@
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,21 +114,39 @@ def test_cube_oracle_agrees():
 def test_sample_mode_and_vacuous_pass():
     inst = worked_instance()
     assert verify_lift(inst, sample_masks(6, 0, 3)).ok
-    # the sample draws mask 60 twice; checked counts every draw
+    # the sample draws mask 60 twice; checked counts distinct masks
     report = verify_lift(inst, sample_masks(6, 10, 3))
-    assert report.ok and report.checked == 10
+    assert report.ok and report.checked == 9
     assert sample_masks(6, 10, 3) == sample_masks(6, 10, 3)
 
 
-def test_corrupted_matrix_reports_failures():
+def squeezed_instance():
     base = build_stripe_shattered_set(2, F(1, 2))
     # both rows have their symbol-0 support squeezed into one column
     row = (0, 1, 2, 3, 1, 1, 2, 3)
     bad = SymbolMatrix((row, row), 4)
     assert not check_extraction(bad, "exhaustive").holds
-    inst = lift_points(base, bad, F(1, 2))
+    return lift_points(base, bad, F(1, 2))
+
+
+def test_corrupted_matrix_reports_failures():
+    inst = squeezed_instance()
     report = verify_lift(inst, range(1 << len(inst.lifted)))
     assert not report.ok
+
+
+def test_a_sample_is_its_sorted_distinct_draws_each_checked_once():
+    rng = random.Random(3)
+    draws = [rng.randrange(1 << 6) for _ in range(10)]
+    assert len(set(draws)) == 9
+    assert sample_masks(6, 10, 3) == sorted(set(draws))
+    # seed 37 draws mask 56 twice, and the squeezed matrix fails on it
+    inst = squeezed_instance()
+    rng = random.Random(37)
+    draws = [rng.randrange(1 << 6) for _ in range(10)]
+    assert draws.count(56) == 2
+    report = verify_lift(inst, sample_masks(6, 10, 37))
+    assert report.checked == 9 and report.failures == [56]
 
 
 def test_exhaustive_guard():
