@@ -27,8 +27,8 @@ True is the answer, and ``_smallest_persistent`` finds it by exponential
 search and bisection in O(log answer) probes.
 
 Decider.  ``_exceeds`` decides g > 0 on an integer bracket of 2^P g, the
-sum of w times ``_log2_bracket``'s bracket on 2^P log2 x, which squares a
-fixed-point mantissa P times, once rounding down and once rounding up.  If
+sum of w times ``_log2_bracket``'s bracket [lo, lo + 2) on 2^P log2 x,
+which squares a fixed-point mantissa P times in one round-down pass.  If
 the bracket straddles 0 it retries at precision 2P, and if it still does,
 ``_product_exceeds`` compares the product with 1 exactly, so no float is
 used and the two paths cannot disagree.  A known factor enters with its own
@@ -93,13 +93,18 @@ def double_factorial(n: int) -> int:
 
 
 def _log2_bracket(n: int, p: int):
-    """Integers (lo, hi) with lo <= 2^p log2 n <= hi, about 1 apart.
+    """Integers (lo, lo + 2) with lo <= 2^p log2 n < lo + 2 ((lo, lo) at a power of 2).
 
-    With n = 2^e x, 1 <= x < 2, and y a fixed-point mantissa of x: squaring
-    y and halving it when it reaches 2 yields one bit of log2 x per step.
-    Rounding every step down keeps y <= x^(2^k) / 2^b with y >= 1, so
-    2^p log2 x >= b; rounding up keeps y >= x^(2^k) / 2^b with y < 2, so
-    2^p log2 x < b + 1.
+    With n = 2^e x, 1 <= x < 2, and y a fixed-point mantissa of x with
+    f = p + MANTISSA_GUARD fraction bits: squaring y and halving it when it
+    reaches 2 yields one bit b of log2 x per step, and every step rounds
+    down.  So y <= x^(2^k) / 2^b with y >= 1, hence 2^p log2 x >= b.  Each
+    floor keeps y >= 1 and so loses at most delta = -log2 (1 - 2^-f)
+    <= 2^-f (1 + 2^-f) / ln 2 in log, and each squaring doubles the log
+    error so far.  The start floors once and each step at most twice, so
+    after p steps the error rho = log2 (x^(2^p) / 2^b) - log2 y is at most
+    (3 2^p - 2) delta < 3 2^-MANTISSA_GUARD / ln 2 < 4.5 2^-MANTISSA_GUARD,
+    under 1 for any guard >= 3.  With y < 2, 2^p log2 x < b + 1 + rho < b + 2.
     """
     if n < 1:
         raise ValueError("log2 needs a positive argument")
@@ -108,17 +113,15 @@ def _log2_bracket(n: int, p: int):
         return e << p, e << p
     f = p + MANTISSA_GUARD
     two = 2 << f
-    ends = []
-    for up in (0, 1):  # round every step down, then every step up
-        y, b, carry = ((n << f) + up * ((1 << e) - 1)) >> e, 0, up * ((1 << f) - 1)
-        for _ in range(p):
-            y = (y * y + carry) >> f
-            b <<= 1
-            if y >= two:
-                y = (y + up) >> 1
-                b |= 1
-        ends.append((e << p) + b + up)
-    return tuple(ends)
+    y, b = (n << f) >> e, 0
+    for _ in range(p):
+        y = (y * y) >> f
+        b <<= 1
+        if y >= two:
+            y >>= 1
+            b |= 1
+    lo = (e << p) + b
+    return lo, lo + 2
 
 
 def _product_exceeds(terms, factor: int = 1) -> bool:

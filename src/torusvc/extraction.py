@@ -183,10 +183,13 @@ def _check_witness(matrix: SymbolMatrix) -> ExtractionVerdict:
     support to V, or skipped; V is a column bitmask.  A row with a support
     already inside V is taken at once without branching: any violator that
     skips it stays one when it is added.  A node is cut when |V| exceeds
-    |U| plus the rows left, minus one.  U grows one row at a time, so the
-    first |V| < |U| met, where the search stops, has |V| = |U| - 1.  More
-    than WITNESS_NODE_BUDGET nodes raise GuardExceeded.  The stack is
-    explicit, so no matrix is too deep for the interpreter's recursion limit.
+    |U| plus the rows left, minus one.  A forced take keeps
+    |V| <= |U| + (rows left) - 1, so taking the last row gives |V| < |U|:
+    a node that gets past the takes always has a row left to branch on.
+    U grows one row at a time, so the first |V| < |U| met, where the search
+    stops, has |V| = |U| - 1.  More than WITNESS_NODE_BUDGET nodes raise
+    GuardExceeded.  The stack is explicit, so no matrix is too deep for the
+    interpreter's recursion limit.
     A node whose |U| does not beat best[(r, V)], the largest expanded from (r, V), is
     cut: a larger |U| reaches a violator whenever a smaller one does, and the earlier
     node's subtree, which cannot hold the later node as r grows, held none.
@@ -220,8 +223,6 @@ def _check_witness(matrix: SymbolMatrix) -> ExtractionVerdict:
                 symbols[u] = s
             cols = tuple(j for j in range(d) if cols >> j & 1)
             return ExtractionVerdict(False, None, (tuple(sorted(symbols)), cols, symbols))
-        if r == c:
-            continue
         stack.append((r + 1, cols, size, taken))
         for s in reversed(range(k)):
             stack.append((r + 1, cols | masks[r][s], size + 1, ((r, s), taken)))

@@ -4,14 +4,14 @@ A subset of a point set is encoded as an integer bitmask (bit i set means
 point i belongs to the subset).  In one dimension the trace of an arc on
 the points is empty or a cyclic run of tied point groups.  A box realizes
 the AND of one trace per dimension, a cube the same AND over the arcs of
-one edge length, and a stripe a single trace.  _closure builds these ANDs
+one edge length, and a stripe a single trace.  _all_ends builds these ANDs
 one dimension at a time: level j maps each AND of one trace from each of
-the first j+1 tables to the first choice of those traces that gives it,
-walking the previous level in insertion order and each table in table
-order, and keeps only the level it is building and the one before.
-Growth counts and vcsearch need only the masks, so realizable_masks
-builds the same levels as plain sets of masks.
-shatter_report reads a shattered set's witnesses off the stored choices;
+the first j+1 tables to the arc ends of the first choice of those traces
+that gives it, walking the previous level in insertion order and each
+table in table order, and keeps only the level it is building and the one
+before.  Growth counts and vcsearch need only the masks, so
+realizable_masks builds the same levels as plain sets of masks.
+shatter_report reads a shattered set's witnesses off the stored arc ends;
 the oracles, and shatter_report for its first 2^(n-8) masks, find the
 same witness of one mask without the closure.  The first-seen rule makes
 each witness a function of the point set alone, and covered_mask
@@ -181,21 +181,6 @@ def _components(denom: int, prefix: tuple, family: Family):
     return g, False, [(j, (table,)) for j, table in enumerate(tables)]
 
 
-def _closure(tables, full: Mask) -> dict:
-    """{mask: traces}: every AND of full with one trace of each table,
-    keyed to the first choice of traces, one per table, that gives it."""
-    prev = {full: ()}
-    for table in tables:
-        cur = {}
-        for r, traces in prev.items():
-            for trace in table:
-                m = r & trace
-                if m not in cur:
-                    cur[m] = traces + (trace,)
-        prev = cur
-    return prev
-
-
 def realizable_masks(cols: tuple, denom: int, family: Family) -> set:
     """The masks the family realizes on the points with integer view cols
     (numerators over denom): the masks of each closure, level by level
@@ -277,14 +262,23 @@ def _first_ends(components, full: Mask, mask: Mask):
 
 
 def _all_ends(components, full: Mask) -> dict:
-    """{mask: (label, arc ends)} for every mask the closures hold, read off
-    its choice of traces in the first closure holding it, stopping at 2^n
-    masks."""
+    """{mask: (label, arc ends)} for every mask the closures hold, built
+    level by level (module docstring) and taken from the first closure
+    holding it, stopping at 2^n masks."""
     found = {}
     for label, tables in components:
-        for mask, traces in _closure(tables, full).items():
+        prev = {full: ()}
+        for table in tables:
+            cur = {}
+            for r, ends in prev.items():
+                for trace, se in table.items():
+                    m = r & trace
+                    if m not in cur:
+                        cur[m] = ends + (se,)
+            prev = cur
+        for mask, ends in prev.items():
             if mask not in found:
-                found[mask] = label, tuple(table[t] for table, t in zip(tables, traces))
+                found[mask] = label, ends
         if len(found) > full:
             break
     return found

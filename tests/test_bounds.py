@@ -227,16 +227,38 @@ def test_answers_are_exact_crossings(answers, name):
         assert exceeds(d, n) and not exceeds(d, n - 1), d
 
 
-def test_log2_bracket_is_certified():
-    rng = random.Random(7)
-    for p in range(1, 7):
+def assert_log2_brackets_certified(seed):
+    # 2^lo <= n^(2^p) < 2^hi = 2^(lo + 2) off the powers of two, read off
+    # the bit length of the exact power
+    rng = random.Random(seed)
+    for p in range(1, 13):
         for n in [rng.randrange(1, 1 << rng.randrange(1, 40)) for _ in range(40)]:
             lo, hi = _log2_bracket(n, p)
-            assert 2**lo <= n ** (2**p) <= 2**hi, (n, p)
-            assert hi - lo <= 2
+            bits = (n ** (2**p)).bit_length()
+            if n & (n - 1):
+                assert lo < bits <= hi == lo + 2, (n, p)
+            else:
+                assert lo == hi == bits - 1, (n, p)
+
+
+def test_log2_bracket_is_certified():
+    assert_log2_brackets_certified(7)
     assert _log2_bracket(1 << 40, 5) == (40 << 5, 40 << 5)
     with pytest.raises(ValueError):
         _log2_bracket(0, 5)
+
+
+def test_log2_bracket_holds_at_the_thinnest_guard(monkeypatch):
+    # the round-down error stays below 4.5 2^-guard, under 1 at guard 3
+    monkeypatch.setattr(bounds, "MANTISSA_GUARD", 3)
+    assert_log2_brackets_certified(8)
+
+
+def test_scanners_make_no_exact_comparison(exact):
+    for d in [*range(1, 1001), *(1 << e for e in range(12, 64))]:
+        trivial_upper_bound_n(d)
+        refined_upper_bound_n(d)
+    assert exact == []
 
 
 def test_refined_constant_brackets_log2_double_factorial():

@@ -444,10 +444,10 @@ def test_one_mask_search_recurses_only_on_a_cut():
 def test_a_small_missing_mask_builds_no_closure(n, d, kind, monkeypatch):
     ps = random_point_set(random.Random(1), n, d, 50)
 
-    def closure(tables, full):
+    def closure(components, full):
         raise AssertionError("shatter_report built a full closure")
 
-    monkeypatch.setattr(shatter, "_closure", closure)
+    monkeypatch.setattr(shatter, "_all_ends", closure)
     report = shatter_report(ps, Family(kind))
     assert not report.shattered and report.missing == 7
     assert sorted(report.witnesses) == list(range(7))
