@@ -37,11 +37,7 @@ STRIPES_BUILD_GUARD = 1 << 20  # coordinates stripes-build may allocate
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
+        raise ValueError(message)
 
 
 def _count(text: str) -> int:
@@ -58,10 +54,10 @@ def _count(text: str) -> int:
 def _family_from_args(args) -> Family:
     if args.family == STRIPES_FIXED:
         if args.l is None:
-            raise _UsageError("family 'stripes' requires --l")
+            raise ValueError("family 'stripes' requires --l")
         return Family(STRIPES_FIXED, parse_rat(args.l))
     if args.l is not None:
-        raise _UsageError(f"family {args.family!r} takes no --l")
+        raise ValueError(f"family {args.family!r} takes no --l")
     return Family(args.family)
 
 
@@ -252,7 +248,7 @@ def _cmd_bounds(args) -> int:
     try:
         d_list = [int(v) for v in args.d_list.split(",") if v]
     except ValueError:
-        raise _UsageError(f"invalid --d-list {args.d_list!r}") from None
+        raise ValueError(f"invalid --d-list {args.d_list!r}") from None
     reasons = []
     rows = bounds_table(d_list, reasons)
     print("d\tstripe_ub\ttrivial_ub\trefined_ub\tlower_bound")
@@ -311,8 +307,8 @@ def run(argv) -> int:
     except GuardExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (_UsageError, FileNotFoundError, ValueError) as exc:
-        # ValueError covers fileio.ParseError
+    except (FileNotFoundError, ValueError) as exc:
+        # ValueError covers usage errors and fileio.ParseError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

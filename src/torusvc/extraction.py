@@ -58,9 +58,8 @@ class SymbolMatrix:
         return [j for j, v in enumerate(self.rows[i]) if v == symbol]
 
     def is_balanced(self) -> bool:
-        """Every symbol appears equally often in every row."""
-        if self.n_cols % self.k:
-            return False
+        """Every symbol appears equally often in every row.  A row's counts
+        sum to d, so they all equal d // k only when k divides d."""
         per = self.n_cols // self.k
         return all(
             all(row.count(s) == per for s in range(self.k)) for row in self.rows

@@ -123,42 +123,36 @@ def enumerate_configs(d: int, n: int, frontier):
                 yield tuple(levels for levels, _ in choice)
 
 
-def _pack(cols, n: int) -> int:
-    """The sorted points of the columns cols, levels below n, as one int:
-    a point is its base-n digits, the sorted points base-n^d digits, so on
-    configurations of one n and d the order of the ints is the
+def _key(cols) -> int:
+    """The sorted points of the columns cols as one int, one byte per
+    level.  Levels are dense ranks, below n <= ENUM_GUARD_N, so a byte
+    holds each one (at most 256 points).  Every key of one n and d has n·d
+    bytes, so on configurations of one n and d the order of the ints is the
     lexicographic order of the sorted point tuples."""
-    points = [0] * n
-    for col in cols:
-        points = [c * n + x for c, x in zip(points, col)]
-    code, base = 0, n ** len(cols)
-    for c in sorted(points):
-        code = code * base + c
-    return code
+    return int.from_bytes(bytes(itertools.chain.from_iterable(sorted(zip(*cols)))), "big")
 
 
-def _images(levels) -> dict:
-    """{packed key (see _pack): columns} of the anchored images of a
-    configuration: its dense-ranked levels, reflected per dimension, rotated
-    so that one point sits at the origin, and its dimensions put in every
-    order."""
+def _points(key: int, n: int, d: int) -> tuple:
+    """The sorted points of a key (see _key) of n points in dimension d."""
+    return tuple(zip(*[iter(key.to_bytes(n * d, "big"))] * d))
+
+
+def _images(levels) -> set:
+    """The keys (see _key) of the anchored images of a configuration: its
+    dense-ranked levels, reflected per dimension, rotated so that one point
+    sits at the origin, and its dimensions put in every order."""
     n = len(levels[0])
     dense = []
     for col in levels:
         rank = {v: r for r, v in enumerate(sorted(set(col)))}
         dense.append(([rank[v] for v in col], len(rank)))
     return {
-        _pack(cols, n): cols
+        _key(cols)
         for p in range(n)
         for signs in itertools.product((1, -1), repeat=len(dense))
         for cols in itertools.permutations(
             [[s * (x - col[p]) % b for x in col] for (col, b), s in zip(dense, signs)])
     }
-
-
-def _least(images: dict) -> tuple:
-    """The sorted points of the least of the images (see _images)."""
-    return tuple(sorted(zip(*images[min(images)])))
 
 
 def canonical_class(levels) -> tuple:
@@ -176,8 +170,11 @@ def canonical_class(levels) -> tuple:
     minimum holds the origin, as the image of some point p, and given p,
     the reflections and the permutation, one rotation per dimension sends
     p to 0.
+
+    Each image is keyed with one byte per dense-ranked level (see _key),
+    so at most 256 points.
     """
-    return _least(_images(levels))
+    return _points(min(_images(levels)), len(levels[0]), len(levels))
 
 
 def _shattered(levels, family: Family) -> bool:
@@ -193,9 +190,9 @@ def _shattered(levels, family: Family) -> bool:
 def shattered_frontiers(d: int, family: Family, n_max: int) -> list:
     """[F_1, F_2, ...]: the sorted frontiers of shattered classes of the
     boxes or any-length stripes, up to n_max or the last nonempty one.
-    Each candidate is keyed by its packed sorted points.  A shattered one
-    marks its whole orbit, its anchored images, as scored, and its class is
-    read off the least of them; so by the orbit lemma each shattered orbit
+    Each candidate is keyed by its sorted points' bytes (see _key).  A
+    shattered one marks its whole orbit, its anchored images, as scored, and
+    its class is the least of them; so by the orbit lemma each shattered orbit
     is scored once per n, and each other point multiset once."""
     if family.kind not in (BOXES, STRIPES_ANY):
         raise ValueError(f"order type does not decide the verdict of {family.kind}")
@@ -206,13 +203,13 @@ def shattered_frontiers(d: int, family: Family, n_max: int) -> list:
     for n in range(2, n_max + 1):
         scored, found = set(), []
         for levels in enumerate_configs(d, n, frontiers[-1]):
-            key = _pack(levels, n)
+            key = _key(levels)
             if key in scored:
                 continue
             if _shattered(levels, family):
                 images = _images(levels)
                 scored.update(images)
-                found.append(_least(images))
+                found.append(_points(min(images), n, d))
             else:
                 scored.add(key)
         if not found:
@@ -225,8 +222,9 @@ def _rotations(cls):
     """The class's levels in each per-dimension rotation, the unrotated
     one first."""
     cols = tuple(zip(*cls))
-    for rotation in itertools.product(*(range(max(col) + 1) for col in cols)):
-        yield tuple(tuple((x + r) % (max(col) + 1) for x in col) for col, r in zip(cols, rotation))
+    sizes = [max(col) + 1 for col in cols]
+    for rotation in itertools.product(*map(range, sizes)):
+        yield tuple(tuple((x + r) % b for x in col) for col, r, b in zip(cols, rotation, sizes))
 
 
 def _rechecked(levels, family: Family):

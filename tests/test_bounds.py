@@ -227,6 +227,21 @@ def test_answers_are_exact_crossings(answers, name):
         assert exceeds(d, n) and not exceeds(d, n - 1), d
 
 
+def test_smallest_persistent_finds_a_crossing_at_or_past_its_start():
+    # a predicate that already holds at the start is answered there
+    for start in (1, 5):
+        for crossing in range(start - 3, start + 70):
+            probes = []
+
+            def exceeds(n):
+                probes.append(n)
+                return n >= crossing
+
+            assert bounds._smallest_persistent(exceeds, start) == max(crossing, start)
+            assert min(probes) == start
+            assert len(probes) <= 2 * max(crossing - start, 1).bit_length() + 1
+
+
 def assert_log2_brackets_certified(seed):
     # 2^lo <= n^(2^p) < 2^hi = 2^(lo + 2) off the powers of two, read off
     # the bit length of the exact power

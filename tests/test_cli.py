@@ -205,6 +205,11 @@ def test_lift_certify_verify_pipeline(tmp_path):
     code, out, _ = cli("verify-cert", lifted, cert)
     assert code == 0
     assert "verified 64 masks" in out
+    # a blank line between certificate lines is skipped
+    path = tmp_path / "cert.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:5] + ["\n", "  \n"] + lines[5:]))
+    assert cli("verify-cert", lifted, cert) == (0, out, "")
 
 
 def test_certify_lift_refusals(tmp_path):

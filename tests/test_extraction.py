@@ -30,10 +30,15 @@ def test_symbol_matrix_validation():
         SymbolMatrix(((0, 2),), 2)
     with pytest.raises(ValueError):
         SymbolMatrix((), 2)
+    with pytest.raises(ValueError, match="^alphabet size must be positive$"):
+        SymbolMatrix(((0, 1),), 0)
     m = SymbolMatrix(((0, 1, 0, 1),), 2)
     assert m.is_balanced()
     assert m.support(0, 1) == [1, 3]
     assert not SymbolMatrix(((0, 0, 0, 1),), 2).is_balanced()
+    # k does not divide d, so no row can hold every symbol equally often
+    assert not SymbolMatrix(((0, 1, 2, 0),), 3).is_balanced()
+    assert not SymbolMatrix(((0, 1),), 3).is_balanced()
 
 
 def test_superdiagonal_has_extraction_property():
@@ -42,6 +47,8 @@ def test_superdiagonal_has_extraction_property():
         assert m.n_rows == c and m.n_cols == c + 1
         assert check_extraction(m, "exhaustive").holds
         assert check_extraction(m, "witness").holds
+    with pytest.raises(ValueError, match="^c must be positive$"):
+        superdiagonal_matrix(0)
     # the largest the (k+1)^c <= 10^8 guard of the subset search admitted
     assert check_extraction(superdiagonal_matrix(16), "witness").holds
 
@@ -185,6 +192,9 @@ def test_random_balanced_matrix_properties():
 def test_random_balanced_matrix_requires_integral_qm():
     with pytest.raises(ValueError):
         random_balanced_matrix(3, 2, F(1, 2), seed=0)
+    for m, k in ((0, 2), (3, 0)):
+        with pytest.raises(ValueError, match="^m and k must be positive$"):
+            random_balanced_matrix(m, k, 2, seed=0)
 
 
 def test_sampler_finds_matrix():

@@ -65,6 +65,12 @@ def test_points_parse_errors(tmp_path):
     assert str(err.value) == f"{path}:4: expected 2 point lines, got more"
     path.write_text("1 2 4\n0\n1\n\n  \n")
     assert len(read_points(path)) == 2  # blank trailing lines are accepted
+    for header in ("0 1 4", "1 -1 4", "1 1 0"):
+        path.write_text(header + "\n0\n")
+        with pytest.raises(ParseError) as err:
+            read_points(path)
+        d, n, denom = header.split()
+        assert str(err.value) == f"{path}:1: invalid header d={d} n={n} D={denom}"
 
 
 def test_matrix_roundtrip(tmp_path):

@@ -207,7 +207,7 @@ def test_cube_witness_matches_fraction_reference(make):
     assert inst.cells
 
 
-def test_verify_lift_lists_each_failing_mask():
+def test_verify_lift_lists_each_failing_mask(monkeypatch):
     report = verify_lift(unshattered_instance(), range(64))
     assert report.checked == 64
     assert report.failures == [
@@ -215,6 +215,11 @@ def test_verify_lift_lists_each_failing_mask():
         30, 32, 33, 34, 35, 36, 37, 38, 39, 40, 42, 44, 46, 48, 49, 50, 51, 52, 53, 54, 55,
         56, 58, 60, 62,
     ]
+    # a cube that covers another mask fails as well: mask 5 gets the cube of mask 4
+    witness = lifting.cube_witness
+    monkeypatch.setattr(lifting, "cube_witness", lambda inst, mask: witness(inst, mask ^ (mask == 5)))
+    report = verify_lift(worked_instance(), range(64))
+    assert (report.checked, report.failures) == (64, [5])
 
 
 @pytest.mark.parametrize("make", [worked_instance, scanned_instance, unshattered_instance])

@@ -136,6 +136,8 @@ def test_cube_derives_and_checks_edge():
 def test_box_requires_closed_arcs():
     with pytest.raises(ValueError):
         Box((Arc(F(0), F(1, 2), closed=False),))
+    with pytest.raises(ValueError, match="^box needs at least one dimension$"):
+        Box(())
 
 
 def test_stripe_validation():
@@ -156,6 +158,12 @@ def test_point_set_validation():
         PointSet(2, 4, ((F(1, 3), F(0)),))
     with pytest.raises(ValueError):
         PointSet(2, 4, ((F(1, 4),),))
+    with pytest.raises(ValueError, match="^dimension must be positive$"):
+        PointSet(0, 4, ())
+    with pytest.raises(ValueError, match="^denominator must be positive$"):
+        PointSet(1, 0, ())
+    with pytest.raises(ValueError, match="^cannot infer dimension of an empty point set$"):
+        PointSet.from_coords([])
     ps = PointSet.from_coords([(F(1, 3), F(1, 2)), (F(0), F(5, 6))])
     assert ps.denom == 6
     assert ps.dim == 2

@@ -150,9 +150,10 @@ def test_canonical_class_identifies_the_symmetries():
 
 
 def test_anchored_canonical_class_matches_the_unanchored_minimum():
+    # up to ENUM_GUARD_N points, where the keys are longest
     rng = random.Random(17)
     for _ in range(300):
-        d, n = rng.randint(1, 3), rng.randint(1, 7)
+        d, n = rng.randint(1, 3), rng.randint(1, vcsearch.ENUM_GUARD_N)
         levels = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(d))
         assert canonical_class(levels) == reference_canonical.canonical_class(levels), levels
 
@@ -181,6 +182,8 @@ def test_enumeration_guards():
         shattered_frontiers(0, Family(BOXES), 1)
     with pytest.raises(ValueError, match="n_max must be positive"):
         shattered_frontiers(1, Family(BOXES), 0)
+    with pytest.raises(ValueError, match="^order type does not decide the verdict of cubes$"):
+        shattered_frontiers(2, Family(CUBES), 3)
 
 
 def test_vc_exact_dim1_boxes_is_three():
