@@ -22,19 +22,26 @@ convexity gives g(a) <= (1 - a/b) g(0) + (a/b) g(b) <= (a/b) g(b), hence
 g(b) > 0.  For refined g'(n) = 1 - 2d/(n ln 2) >= 0 once n >= 2d/ln 2, so g
 is increasing from n0 = ceil(2d 2^K / LN2_LO) >= 2d/ln 2 on, where
 K = LN2_BITS and LN2_LO / 2^K is a lower bound on ln 2.  So from the scan's
-start the predicate g(n) > 0 runs False...False True...True, its first
-True is the answer, and ``_smallest_persistent`` finds it by exponential
-search and bisection in O(log answer) probes.
+start the predicate g(n) > 0 runs False...False True...True, and its first
+True is the answer.  Each scanner first estimates it (``_guess`` for
+trivial and refined, bit lengths for stripe), and ``_smallest_persistent``
+gallops from the guess and bisects in O(log |answer - guess|) probes.  The
+guess decides nothing: the answer is the probe that holds next to one that
+fails, so a wrong guess only costs probes.
 
 Decider.  ``_exceeds`` decides g > 0 on an integer bracket of 2^P g, the
 sum of w times ``_log2_bracket``'s bracket [lo, lo + 2) on 2^P log2 x,
-which squares a fixed-point mantissa P times in one round-down pass.  If
-the bracket straddles 0 it retries at precision 2P, and if it still does,
-``_product_exceeds`` compares the product with 1 exactly, so no float is
-used and the two paths cannot disagree.  A known factor enters with its own
-bracket: for (2d-1)!! = (2d)! / (2^d d!), Stirling's formula with Robbins'
-remainder bounds 1/(12n+1) < r_n < 1/(12n) (H. Robbins, "A remark on
-Stirling's formula", Amer. Math. Monthly 62 (1955) 26-29) gives
+which squares a fixed-point mantissa P times in one round-down pass.  It
+tries P = b + 4, b + 32 and 2 (b + 32) for inputs of b bits, in turn, until
+the bracket clears 0; the coarse first one settles every probe but those
+next to the crossing.  Each bracket is certified, so whichever clears 0
+gives the exact verdict, and if all three straddle 0, ``_product_exceeds``
+compares the product with 1 exactly: no float is used and the paths cannot
+disagree.  A known factor enters with its own bracket, computed once at
+the top precision and shifted down: for (2d-1)!! = (2d)! / (2^d d!),
+Stirling's formula with Robbins' remainder bounds 1/(12n+1) < r_n < 1/(12n)
+(H. Robbins, "A remark on Stirling's formula", Amer. Math. Monthly 62
+(1955) 26-29) gives
 
     log2 (2d-1)!! = d log2 d + d + 1/2 - (d - r_2d + r_d) / ln 2,
 
@@ -42,16 +49,15 @@ which is bracketed in O(1) big-integer operations with the literal bracket
 LN2_LO/2^K <= ln 2 <= LN2_HI/2^K.  Trivial and refined have exact sides of
 about 2d log2 n bits, and the extraction requirement (q - q/k)^(qm) >
 q m^2 k^3 about qm log2 k bits, so they go through ``_exceeds``.  Stripe
-goes straight to ``_product_exceeds``: the search stays within a factor of
-two of its crossing near log2 d, so both sides have O(log d) bits and one
-comparison costs no more than a bracket would.
+goes straight to ``_product_exceeds``: its probes sit at its crossing near
+log2 d, so both sides have O(log d) bits and one comparison costs no more
+than a bracket would.
 
 floor(log2 d) is taken via bit length.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 
 from .errors import NotCertified, PostconditionError
 
@@ -60,9 +66,11 @@ LN2_BITS = 256
 LN2_LO = 80260960185991308862233904206310070533990667611589946606122867505419956976171
 LN2_HI = 80260960185991308862233904206310070533990667611589946606122867505419956976172
 
-# _exceeds first works at 2^-P with P = the inputs' bit length plus these
-# bits; the brackets' errors are a few multiples of d 2^-P, so they only
-# overlap zero on near-ties
+# _exceeds first works at 2^-P with P = the inputs' bit length plus
+# COARSE_BITS, where a box scanner's bracket is about 4d 2^-P < 1/4 wide, so
+# it settles every probe but those next to a crossing; then with
+# PRECISION_BITS, where the brackets only overlap zero on near-ties
+COARSE_BITS = 4
 PRECISION_BITS = 32
 # fixed-point mantissa bits beyond P in _log2_bracket
 MANTISSA_GUARD = 16
@@ -135,15 +143,21 @@ def _product_exceeds(terms, factor: int = 1) -> bool:
     return num > den
 
 
+def _precisions(bits: int):
+    """The precisions ``_exceeds`` tries in turn on inputs of this bit length."""
+    fine = bits + PRECISION_BITS
+    return bits + COARSE_BITS, fine, 2 * fine
+
+
 def _exceeds(terms, bits: int, known=None) -> bool:
     """prod x^w > 1 over the terms (x, w), times K if ``known`` is (bracket, value):
     bracket(p) brackets 2^p log2 K at each precision p tried, and value() is K.
 
-    Decided on brackets of 2^p sum w log2 x at p = bits + PRECISION_BITS and
-    then 2p; if both straddle 0, by ``_product_exceeds``.
+    Decided on brackets of 2^p sum w log2 x at each p of ``_precisions(bits)``,
+    bits + COARSE_BITS, bits + PRECISION_BITS and twice that, until one clears
+    0; if all three straddle 0, by ``_product_exceeds``.
     """
-    first = bits + PRECISION_BITS
-    for p in (first, 2 * first):
+    for p in _precisions(bits):
         lo, hi = known[0](p) if known else (0, 0)
         for x, w in terms:
             x_lo, x_hi = _log2_bracket(x, p)
@@ -158,23 +172,35 @@ def _exceeds(terms, bits: int, known=None) -> bool:
     return _product_exceeds(terms, known[1]() if known else 1)
 
 
-def _smallest_persistent(exceeds, start: int = 1) -> int:
+def _smallest_persistent(exceeds, start: int = 1, guess=None) -> int:
     """Smallest n >= start with exceeds(n), for a predicate that runs
     False...False True...True from start on (the lemma in the module
     docstring); by monotonicity exceeds then holds for every larger n.
 
-    Exponential search then bisection: O(log(n - start)) probes.  The name
+    Gallops from max(start, guess), down while the probe holds and up while
+    it fails, doubling the step, then bisects: O(log |n - guess|) probes,
+    none below start.  With no guess it gallops up from start.  The name
     is kept from the windowed linear scan this replaced, because the
     benchmark's tracer (``bench/tracer.py``) counts probes by wrapping this
     module-level function; the scanners call it through the module global.
     """
-    if exceeds(start):
-        return start
-    lo, step = start, 1  # exceeds(lo) is False
-    while not exceeds(lo + step):
-        lo += step
-        step <<= 1
-    hi = lo + step  # exceeds(hi) is True
+    probe = start if guess is None else max(start, guess)
+    step = 1
+    if exceeds(probe):
+        hi = probe  # exceeds(hi) is True
+        while True:
+            if hi == start:
+                return start
+            lo = max(start, hi - step)
+            if not exceeds(lo):
+                break
+            hi, step = lo, step << 1
+    else:
+        lo = probe  # exceeds(lo) is False
+        while not exceeds(lo + step):
+            lo += step
+            step <<= 1
+        hi = lo + step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if exceeds(mid):
@@ -184,11 +210,43 @@ def _smallest_persistent(exceeds, start: int = 1) -> int:
     return hi
 
 
+def _guess(d: int, terms, start: int, known=None) -> int:
+    """An estimate of a box scanner's crossing, from its terms(n) and ``known``
+    as in ``_exceeds``: the integer fixed point of n <- max(start, n - g(n))
+    with g rounded down, that is n <- 2d log2 (n+1) for trivial and
+    n <- 2d log2 n + d - log2 (2d-1)!! for refined.
+
+    g is summed from the brackets' lower ends at p = bit_length(d) + 8, so
+    it is off by a few multiples of d 2^-p, under 1/32.  The iteration
+    starts at 2d (L + 2 bit_length(L) + 2) with L = bit_length(d), where
+    g > 0 and g' > 0.  As g is convex with g' < 1, a step n - m with
+    m <= g(n) keeps g >= g(n) (1 - g'(n)) > 0, so the iterates fall towards
+    the crossing and stop once g < 1.  The result decides nothing: the
+    scanner probes the crossing's two sides through ``_exceeds``.
+    """
+    bits = d.bit_length()
+    p = bits + 8
+    offset = known[0](p)[0] if known else 0
+    n = max(start, 2 * d * (bits + 2 * bits.bit_length() + 2))
+    while True:
+        gap = offset + sum(w * _log2_bracket(x, p)[0] for x, w in terms(n))
+        step = max(start, n - (gap >> p))
+        if step >= n:
+            return n
+        n = step
+
+
 def stripe_upper_bound_n(d: int) -> int:
     """Smallest n with 2^n > d (n+1)^2 (for it and all larger n); VC(stripes_l) <= n - 1."""
     if d < 1:
         raise ValueError("d must be positive")
-    return _smallest_persistent(lambda n: _product_exceeds(((2, n), (d, -1), (n + 1, -2))))
+    # 2^n > d (n+1)^2 just when n >= bit_length(d (n+1)^2), which rises
+    # with n, so iterating it from 0 climbs to the crossing
+    guess = 0
+    while guess < (rise := (d * (guess + 1) ** 2).bit_length()):
+        guess = rise
+    return _smallest_persistent(
+        lambda n: _product_exceeds(((2, n), (d, -1), (n + 1, -2))), 1, guess)
 
 
 def trivial_upper_bound_n(d: int) -> int:
@@ -196,7 +254,11 @@ def trivial_upper_bound_n(d: int) -> int:
     if d < 1:
         raise ValueError("d must be positive")
     bits = d.bit_length()
-    return _smallest_persistent(lambda n: _exceeds(((2, n), (n + 1, -2 * d)), bits))
+
+    def terms(n):
+        return (2, n), (n + 1, -2 * d)
+
+    return _smallest_persistent(lambda n: _exceeds(terms(n), bits), 1, _guess(d, terms, 1))
 
 
 def _refined_constant(d: int, p: int):
@@ -233,9 +295,21 @@ def refined_upper_bound_n(d: int) -> int:
     """
     if d < 1:
         raise ValueError("d must be positive")
-    known = (cache(partial(_refined_constant, d)), lambda: double_factorial(2 * d - 1))
-    return _smallest_persistent(
-        lambda n: _exceeds(((2, n - d), (n, -2 * d)), d.bit_length(), known), _refined_start(d))
+    bits = d.bit_length()
+    top = _precisions(bits)[-1]
+    c_lo, c_hi = _refined_constant(d, top)
+
+    def terms(n):
+        return (2, n - d), (n, -2 * d)
+
+    def constant(p):
+        """The top bracket shifted down to precision p: floor for lo, ceiling for hi."""
+        return c_lo >> (top - p), -(-c_hi >> (top - p))
+
+    known = (constant, lambda: double_factorial(2 * d - 1))
+    start = _refined_start(d)
+    return _smallest_persistent(lambda n: _exceeds(terms(n), bits, known), start,
+                                _guess(d, terms, start, known))
 
 
 @dataclass

@@ -242,6 +242,91 @@ def test_smallest_persistent_finds_a_crossing_at_or_past_its_start():
             assert len(probes) <= 2 * max(crossing - start, 1).bit_length() + 1
 
 
+def test_smallest_persistent_from_a_guess():
+    # from any guess the answer is the same, no probe falls below the start,
+    # and the probes grow with the log of the guess's distance from the crossing
+    start = 20
+    for crossing in range(start - 8, start + 70):
+        for guess in range(start - 8, start + 70):
+            probes = []
+
+            def exceeds(n):
+                probes.append(n)
+                return n >= crossing
+
+            assert bounds._smallest_persistent(exceeds, start, guess) == max(crossing, start)
+            assert min(probes) >= start
+            assert len(probes) <= 2 * abs(crossing - guess).bit_length() + 3, (crossing, guess)
+
+
+@pytest.mark.parametrize("miss", ["start", -1000, 10**6])
+def test_scanners_ignore_a_wrong_guess(answers, monkeypatch, miss):
+    # the guess only picks where the search starts: a guess at the scan's
+    # start, far below or far above the crossing leaves every answer as it was
+    for name in ("trivial", "refined"):
+        scan = SCANNERS[name][0]
+        for d in (1, 2, 3, 7, 64, 100, 257, 512):
+            want = answers[name][d]
+            monkeypatch.setattr(
+                bounds, "_guess",
+                lambda d, terms, start, known=None: start if miss == "start" else want + miss)
+            assert scan(d) == want, (name, d)
+
+
+def test_scanners_probe_budget(monkeypatch):
+    # the guesses put each search within a few probes of its crossing: over
+    # the benchmark's d list the three scanners make at most 400 probes
+    # (a search from the scan's start made 1,082)
+    probes = []
+    search = bounds._smallest_persistent
+
+    def counted(exceeds, *args):
+        return search(lambda n: probes.append(n) or exceeds(n), *args)
+
+    monkeypatch.setattr(bounds, "_smallest_persistent", counted)
+    for d in [1 << e for e in range(17)] + [1000]:
+        for scan, _, _ in SCANNERS.values():
+            scan(d)
+    assert len(probes) <= 400
+
+
+# (stripe, trivial, refined) answers, pinned from the search from the scan's start
+LARGE_ANSWERS = {
+    1 << 20: (30, 53860582, 32911523),
+    1 << 40: (52, 102343448486113, 58156125271372),
+    10**9 + 7: (41, 72140167968, 42133864887),
+    3**20: (43, 264612705425, 153645407059),
+}
+
+
+@pytest.mark.parametrize("d", sorted(LARGE_ANSWERS))
+def test_large_d_answers_are_pinned(d):
+    assert tuple(scan(d) for scan, _, _ in SCANNERS.values()) == LARGE_ANSWERS[d]
+
+
+@pytest.mark.parametrize("e", [64, 100, 200])
+def test_huge_d_answers_are_crossings(monkeypatch, e):
+    # the decider holds at each answer and fails one below it, past the scan's
+    # start, on brackets alone: the exact products are out of reach
+    d = 1 << e
+    found = {name: scan(d) for name, (scan, _, _) in SCANNERS.items()}
+
+    def unreachable(*args):
+        raise AssertionError("exact comparison")
+
+    monkeypatch.setattr(bounds, "_product_exceeds", unreachable)
+    inequalities = {
+        "stripe": (lambda n: ((2, n), (d, -1), (n + 1, -2)), None),
+        "trivial": (lambda n: ((2, n), (n + 1, -2 * d)), None),
+        "refined": (lambda n: ((2, n - d), (n, -2 * d)), (lambda p: _refined_constant(d, p), None)),
+    }
+    for name, (terms, known) in inequalities.items():
+        n = found[name]
+        assert n > SCANNERS[name][2](d), name
+        assert _exceeds(terms(n), e + 1, known), name
+        assert not _exceeds(terms(n - 1), e + 1, known), name
+
+
 def assert_log2_brackets_certified(seed):
     # 2^lo <= n^(2^p) < 2^hi = 2^(lo + 2) off the powers of two, read off
     # the bit length of the exact power
@@ -276,14 +361,25 @@ def test_scanners_make_no_exact_comparison(exact):
     assert exact == []
 
 
-def test_refined_constant_brackets_log2_double_factorial():
+def test_refined_constant_brackets_log2_double_factorial(monkeypatch):
     # the constant brackets 2^p log2 (2d-1)!!; at small p the Robbins
-    # correction (about 1/(24 d ln 2)) is several units of 2^-p for small d
-    for p in range(2, 9):
-        for d in range(1, 21):
-            lo, hi = _refined_constant(d, p)
+    # correction (about 1/(24 d ln 2)) is several units of 2^-p for small d.
+    # The refined scanner brackets it once, at the top precision, and hands
+    # _exceeds that bracket shifted down to each precision asked for
+    shifted = []
+
+    def capture(terms, bits, known=None):
+        shifted.append(known[0])
+        return _exceeds(terms, bits, known)
+
+    monkeypatch.setattr(bounds, "_exceeds", capture)
+    for d in range(1, 21):
+        shifted.clear()
+        refined_upper_bound_n(d)
+        for p in range(2, 9):
             power = double_factorial(2 * d - 1) ** (2**p)
-            assert 2**lo <= power <= 2**hi, (d, p)
+            for lo, hi in (_refined_constant(d, p), shifted[0](p)):
+                assert 2**lo <= power <= 2**hi, (d, p)
 
 
 def test_exceeds_decides_like_the_exact_product(exact):
@@ -312,8 +408,8 @@ def test_exceeds_decides_like_the_exact_product(exact):
 
 
 def test_refined_constant_is_bracketed_once_per_d(monkeypatch):
-    # the precision-2p bracket is built only when the first one straddles 0,
-    # which no d of the benchmark's list needs
+    # the (2d-1)!! bracket is built once per d, at the top precision, and
+    # shifted down to every precision the guess and the decider ask for
     calls = []
 
     def counted(d, p):
@@ -357,8 +453,9 @@ def test_no_module_has_float():
 
 
 def test_bounds_inequalities_all_go_through_the_decider():
-    # _log2_bracket is called only by _exceeds and the (2d-1)!! bracket, and
-    # bounds imports nothing from the package but its errors
+    # _log2_bracket is called only by _exceeds, the (2d-1)!! bracket and
+    # _guess, which decides no inequality: it only picks where the scanners'
+    # searches start.  bounds imports nothing from the package but its errors
     tree = ast.parse(Path(bounds.__file__).read_text())
     callers = sorted(
         fn.name
@@ -369,7 +466,7 @@ def test_bounds_inequalities_all_go_through_the_decider():
     )
     uses = [node for node in ast.walk(tree)
             if isinstance(node, ast.Name) and node.id == "_log2_bracket"]
-    assert callers == ["_exceeds", "_refined_constant"] and len(uses) == len(callers)
+    assert callers == ["_exceeds", "_guess", "_refined_constant"] and len(uses) == len(callers)
     imports = [(node.level, node.module) for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and (node.level or "torusvc" in node.module)]
     assert imports == [(1, "errors")]
