@@ -276,7 +276,7 @@ def test_scanners_ignore_a_wrong_guess(answers, monkeypatch, miss):
 def test_scanners_probe_budget(monkeypatch):
     # the guesses put each search within a few probes of its crossing: over
     # the benchmark's d list the three scanners make at most 400 probes
-    # (a search from the scan's start made 1,082)
+    # (searching up from each scan's start takes 1,082)
     probes = []
     search = bounds._smallest_persistent
 
@@ -290,7 +290,7 @@ def test_scanners_probe_budget(monkeypatch):
     assert len(probes) <= 400
 
 
-# (stripe, trivial, refined) answers, pinned from the search from the scan's start
+# (stripe, trivial, refined) answers at large d, as the search without guesses gives them
 LARGE_ANSWERS = {
     1 << 20: (30, 53860582, 32911523),
     1 << 40: (52, 102343448486113, 58156125271372),
