@@ -5,9 +5,10 @@ every target word of length c can be read off in pairwise distinct columns,
 one per row.  The property fails exactly when some row set U and column set
 V with |V| = |U| - 1 exist such that every row of U has a symbol occurring
 only inside V (a Hall violator in disguise).  Each checker takes its
-violator from its own search: exhaustive mode from the columns its failed
-augmenting path visited, witness mode from a pruned depth-first search
-over the rows.
+violator from its own search: exhaustive mode, which gives each row a free
+column when its support has one and augments only when it has none, from
+the columns its failed augmenting path visited; witness mode from a pruned
+depth-first search over the rows.
 """
 
 import random
@@ -84,13 +85,22 @@ def superdiagonal_matrix(c: int) -> SymbolMatrix:
 
 
 def validate_failure_witness(matrix: SymbolMatrix, witness) -> bool:
-    """Independent re-check of a (U, V, symbols) failure witness."""
+    """Independent re-check of a (U, V, symbols) failure witness.
+
+    U holds distinct rows in [0, c) and V distinct columns in [0, d), with
+    |V| = |U| - 1, and each row of U has a symbol in [0, k) whose support
+    lies inside V.
+    """
     rows, cols, symbols = witness
+    rowset, colset = set(rows), set(cols)
     if len(cols) != len(rows) - 1:
         return False
-    colset = set(cols)
+    if len(rowset) != len(rows) or not rowset <= set(range(matrix.n_rows)):
+        return False
+    if len(colset) != len(cols) or not colset <= set(range(matrix.n_cols)):
+        return False
     for u in rows:
-        if u not in symbols:
+        if u not in symbols or symbols[u] not in range(matrix.k):
             return False
         if not set(matrix.support(u, symbols[u])) <= colset:
             return False
@@ -140,33 +150,61 @@ def _check_exhaustive(matrix: SymbolMatrix) -> ExtractionVerdict:
     """The first unmatchable word in lexicographic order, or holds.
 
     A depth-first walk over word prefixes extends the prefix's perfect
-    matching by one augmenting path per row.  When a prefix p has none, no
-    word starting with p is matchable, and every word before p + zeros has
-    been matched, so p + zeros is the first counterexample.  The failed
-    path visited only matched columns and searched the whole support of
-    each row matched there, so those rows and the last row (U) against the
-    visited columns (V, |V| = |U| - 1) are the failure witness.
+    matching by one row at a time; `used` is the bitmask of its matched
+    columns.  When row r's support has a free column, r takes the lowest
+    one in place, and the match is undone once the subtree is walked; the
+    last row has no subtree, so a free column settles it.  Only a support
+    with no free column costs a copy of the matching and an augmenting
+    path, which ends at the one visited column outside `used`.
+    When a prefix p has no augmenting path, no word starting with p is
+    matchable, and every word before p + zeros has been matched, so
+    p + zeros is the first counterexample.  The failed path visited only
+    matched columns and searched the whole support of each row matched
+    there, so those rows and the last row (U) against the visited columns
+    (V, |V| = |U| - 1) are the failure witness.
+
+    Lemma: the word and the witness do not depend on which perfect
+    matching of each prefix the walk keeps, so this walk names the same
+    ones as an augmenting path per row would.  Whether a prefix can be
+    matched is a property of its graph alone (Berge), so the walk fails
+    first at the same word.  There row r is the only unmatched row, so the
+    matching is maximum and r's failed search reaches exactly the rows
+    that some maximum matching leaves unmatched, with their neighbour
+    columns: the Gallai-Edmonds deficient set D and N(D), which no choice
+    of maximum matching moves (Dulmage and Mendelsohn, Canad. J. Math. 10
+    (1958) 517-534).
     """
     c, d = matrix.n_rows, matrix.n_cols
     supports = [[matrix.support(i, s) for s in range(matrix.k)] for i in range(c)]
+    masks = [[sum(1 << j for j in support) for support in row] for row in supports]
     word = [0] * c
     adjacency = [None] * c
 
-    def first_failing_row(r, match_right):
-        for s, support in enumerate(supports[r]):
+    def first_failing_row(r, match_right, used):
+        for s, mask in enumerate(masks[r]):
+            free = mask & ~used
+            if free and r + 1 == c:
+                continue
             word[r] = s
-            adjacency[r] = support
-            extended = match_right[:]
-            visited = set()
-            if not augment(adjacency, r, extended, visited):
-                return r, {r, *(extended[j] for j in visited)}, visited
-            if r + 1 < c:
-                failed = first_failing_row(r + 1, extended)
-                if failed is not None:
-                    return failed
+            adjacency[r] = supports[r][s]
+            if free:
+                low = free & -free
+                j = low.bit_length() - 1
+                match_right[j] = r
+                failed = first_failing_row(r + 1, match_right, used | low)
+                match_right[j] = None
+            else:
+                extended = match_right[:]
+                visited = set()
+                if not augment(adjacency, r, extended, visited):
+                    return r, {r, *(extended[j] for j in visited)}, visited
+                end = next(j for j in visited if match_right[j] is None)
+                failed = r + 1 < c and first_failing_row(r + 1, extended, used | 1 << end)
+            if failed:
+                return failed
         return None
 
-    failed = first_failing_row(0, [None] * d)
+    failed = first_failing_row(0, [None] * d, 0)
     if failed is None:
         return ExtractionVerdict(True)
     r, rows, cols = failed

@@ -167,6 +167,14 @@ def test_extract_check_on_deep_matrices_never_recurses_past_the_stack(tmp_path):
     write_matrix(SymbolMatrix(((0,) * 499,) * 500, 1), path)
     assert cli("extract-check", str(path)) == (
         1, f"fails witness U={list(range(500))} V={list(range(499))}\n", "")
+    # at the row guard: a 200-deep prefix walk, and with 199 columns a
+    # 199-deep augmenting path below it
+    write_matrix(SymbolMatrix(((0,) * 200,) * 200, 1), path)
+    assert cli("extract-check", str(path), "--mode", "exhaustive") == (0, "holds\n", "")
+    write_matrix(SymbolMatrix(((0,) * 199,) * 200, 1), path)
+    assert cli("extract-check", str(path), "--mode", "exhaustive") == (
+        1, f"fails word={' '.join(['0'] * 200)}\n"
+           f"fails witness U={list(range(200))} V={list(range(199))}\n", "")
 
 
 def test_extract_sample(tmp_path):

@@ -246,6 +246,17 @@ def test_failure_witness_validator_rejects_each_malformed_witness():
     assert not validate_failure_witness(m, ((0, 1), (0, 1), {0: 0, 1: 0}))  # |V| != |U| - 1
     assert not validate_failure_witness(m, ((0, 1), (0,), {0: 0}))  # row 1 has no symbol
     assert not validate_failure_witness(m, ((0, 1), (1,), {0: 0, 1: 0}))  # support {0} outside V
+    sd = superdiagonal_matrix(2)  # rows 010 and 001
+    assert not validate_failure_witness(sd, ((0, 0), (1,), {0: 1}))  # row 0 twice
+    assert not validate_failure_witness(sd, ((0, 1), (2,), {0: 7, 1: 1}))  # symbol 7, empty support
+    assert not validate_failure_witness(sd, ((0, 1), (2,), {0: -1, 1: 1}))  # symbol -1
+    assert not validate_failure_witness(sd, ((-1, 1), (2,), {-1: 1, 1: 1}))  # row -1 wraps to row 1
+    assert not validate_failure_witness(sd, ((0, 2), (1,), {0: 1, 2: 1}))  # no row 2
+    blank = SymbolMatrix(((0, 0),) * 3, 2)  # symbol 1 has an empty support in every row
+    assert validate_failure_witness(blank, ((0, 1, 2), (0, 1), {0: 1, 1: 1, 2: 1}))
+    assert not validate_failure_witness(blank, ((0, 1, 2), (0, 0), {0: 1, 1: 1, 2: 1}))  # column 0 twice
+    assert not validate_failure_witness(blank, ((0, 1), (2,), {0: 1, 1: 1}))  # no column 2
+    assert not validate_failure_witness(blank, ((0, 1), (-1,), {0: 1, 1: 1}))  # column -1
 
 
 def test_negative_verdicts_are_rechecked(monkeypatch):
