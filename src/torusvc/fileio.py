@@ -11,8 +11,9 @@ from itertools import chain
 from math import lcm
 
 from .extraction import SymbolMatrix
-from .lifting import VERIFY_GUARD_POINTS
 from .torus import Arc, Box, Cube, PointSet, Stripe, shape_factors
+
+SEEN_MAP_POINTS = 24  # the certificate reader marks masks of up to 24 points in a 2 MiB bitmap
 
 
 class ParseError(ValueError):
@@ -138,8 +139,9 @@ def write_certificate(witnesses, dim: int, n_points: int, path: str, denom: int 
 
 def certificate_lines(path: str):
     """Yields the header (dim, n_points, denom, kind), then (mask, shape) per non-blank line
-    as it is parsed.  Repeats are refused: masks in [0, 2^n) for n <= VERIFY_GUARD_POINTS
-    are marked in a 2^n-bit map, others in a set."""
+    as it is parsed, in the grammar write_certificate writes: 'mask=' and lowercase hex
+    digits, then plain decimal numerators, each arc start in [0, D).  Repeats are refused:
+    masks in [0, 2^n) for n <= SEEN_MAP_POINTS are marked in a 2^n-bit map, others in a set."""
     lines = _lines(path, "certificate")
     head = next(lines)[1].split()
     if len(head) != 4:
@@ -156,7 +158,7 @@ def certificate_lines(path: str):
     if kind not in ("box", "cube", "stripe"):
         raise ParseError(path, 1, f"unknown certificate kind {kind!r}")
     yield dim, n_points, denom, kind
-    seen = bytearray((1 << n_points) + 7 >> 3 if n_points <= VERIFY_GUARD_POINTS else 0)
+    seen = bytearray((1 << n_points) + 7 >> 3 if n_points <= SEEN_MAP_POINTS else 0)
     others = set()
     arcs = {}  # (start, length, closed) numerators -> Arc, one per distinct arc
     for lineno, line in lines:
@@ -164,16 +166,21 @@ def certificate_lines(path: str):
             continue
         try:
             mask_part, shape_part = line.split(" shape=")
-            mask = int(mask_part.removeprefix("mask="), 16)
+            digits = mask_part.removeprefix("mask=")
             left, right = shape_part.split(";")
-            nums = [int(v) for v in left.split()]
-            tail = [int(v) for v in right.split()]
+            nums, tail = left.split(), right.split()
+            # int() would also take a sign, underscores, 0x and other scripts' digits
+            if digits == mask_part or digits.strip("0123456789abcdef") \
+                    or "".join(nums + tail).strip("0123456789"):
+                raise ValueError(line)
+            mask = int(digits, 16)
+            nums, tail = [int(v) for v in nums], [int(v) for v in tail]
         except ValueError:
             raise ParseError(path, lineno, "malformed certificate line") from None
         byte, bit = mask >> 3, 1 << (mask & 7)
-        if 0 <= byte < len(seen) and not seen[byte] & bit:
+        if byte < len(seen) and not seen[byte] & bit:
             seen[byte] |= bit
-        elif 0 <= byte < len(seen) or mask in others:
+        elif byte < len(seen) or mask in others:
             raise ParseError(path, lineno, f"repeated mask {mask:x}")
         else:
             others.add(mask)
@@ -196,9 +203,10 @@ def _arc_from(start_num: int, len_num: int, denom: int, closed: bool, arcs: dict
     if arc is None:
         if not 0 < len_num < denom:
             raise ValueError(f"arc length {Fraction(len_num, denom)} outside (0,1)")
-        start = start_num % denom
-        end = (start + len_num) % denom
-        arc = arcs[key] = Arc(Fraction(start, denom), Fraction(end, denom), closed=closed)
+        if start_num >= denom:
+            raise ValueError(f"arc start {Fraction(start_num, denom)} outside [0,1)")
+        end = (start_num + len_num) % denom
+        arc = arcs[key] = Arc(Fraction(start_num, denom), Fraction(end, denom), closed=closed)
     return arc
 
 

@@ -211,7 +211,7 @@ def _minimal(masks) -> list:
     """The inclusion-minimal ones among masks."""
     kept = []
     for m in sorted(set(masks), key=int.bit_count):
-        if all(k & m != k for k in kept):
+        if m not in map(m.__or__, kept):  # no kept k has k | m == m, i.e. k within m
             kept.append(m)
     return kept
 
@@ -220,44 +220,34 @@ def _first_ends(components, full: Mask, mask: Mask):
     """(label, arc ends) of mask's witness in the first closure holding it,
     or None, without the closures.  A closure keys each mask to the least
     choice of table positions, in lexicographic order, whose traces AND to
-    it; so each table keeps its first trace after which the later tables'
-    minimal traces containing mask can still reach mask (a smaller trace
-    containing mask never spoils a choice)."""
+    it.  So each table in turn keeps its first trace t after which the
+    later tables can still cut r & t, r the AND so far, to exactly mask.
+    Every chosen trace contains mask, and trading a later trace for a
+    smaller one that still contains mask never spoils a choice, so they can
+    exactly when some AND x of one minimal trace containing mask per later
+    table gives r & t & x == mask.  Those ANDs are built from the last table
+    back, none for the first table, which nothing reads, and only the
+    inclusion-minimal ones are kept: a kept x within an AND y answers for
+    it, since mask <= r & t & x <= r & t & y."""
     for label, tables in components:
-        holding = [[t for t in table if t & mask == mask] for table in tables]
-        if not all(holding):
-            continue
-        mins = [_minimal(traces) for traces in holding]
-        dead = set()  # (j, r): no minimal traces of tables j.. cut r to mask
-
-        def reaches(j, r):  # recursing only on a cut keeps the depth below n
-            if r == mask:
-                return True
-            tried = []
-            for k in range(j, len(mins)):
-                if (k, r) in dead:
-                    break
-                tried.append((k, r))
-                keeps = False
-                for t in mins[k]:
-                    if r & t == r:
-                        keeps = True
-                    elif reaches(k + 1, r & t):
-                        return True
-                if not keeps:
-                    break
-            dead.update(tried)
-            return False
-
-        r, ends = full, []
-        for j, (table, traces) in enumerate(zip(tables, holding), start=1):
-            t = next((t for t in traces if reaches(j, r & t)), None)
-            if t is None:
+        holding = []
+        for table in tables:
+            holding.append([t for t in table if t & mask == mask])
+            if not holding[-1]:
                 break
-            r &= t
-            ends.append(table[t])
         else:
-            return label, tuple(ends)
+            later = [[full]]  # later[-1 - j]: the kept ANDs of the tables after j
+            for traces in reversed(holding[1:]):
+                later.append(_minimal(t & x for t in _minimal(traces) for x in later[-1]))
+            r, ends = full, []
+            for table, traces, ands in zip(tables, holding, reversed(later)):
+                t = next((t for t in traces if mask in map((r & t).__and__, ands)), None)
+                if t is None:  # only the first table can fail: a kept t leaves a way on
+                    break
+                r &= t
+                ends.append(table[t])
+            else:
+                return label, tuple(ends)
     return None
 
 

@@ -1,9 +1,12 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import reference_certificate
+import torusvc
 from bruteforce import random_point_set
 from torusvc.extraction import SymbolMatrix
 from torusvc.fileio import (
@@ -173,11 +176,43 @@ def test_certificate_parse_errors(tmp_path):
         ("2 2 8 box\nmask=1 shape=0 4 ; 2\n", "2: expected 2 arc lengths, got 1"),
         ("2 2 8 box\nmask=1 shape=0 ; 2 2\n", "2: expected 2 arc starts, got 1"),
         ("2 2 8 cube\nmask=1 shape=0 4 ; 2 2\n", "2: cube shape needs a single edge numerator"),
+        # only what write_certificate writes: 'mask=', lowercase hex, plain
+        # decimal numerators and starts in [0, D)
+        ("1 2 4 box\n0 shape=0 ; 1\n", "2: malformed certificate line"),
+        ("1 2 4 box\nmask=0x1 shape=0 ; 1\n", "2: malformed certificate line"),
+        ("1 2 4 box\nmask=1_0 shape=0 ; 1\n", "2: malformed certificate line"),
+        ("1 2 4 box\nmask=+1 shape=0 ; 1\n", "2: malformed certificate line"),
+        ("1 2 4 box\nmask=A shape=0 ; 1\n", "2: malformed certificate line"),
+        ("1 2 4 box\nmask= shape=0 ; 1\n", "2: malformed certificate line"),
+        ("1 2 4 box\nmask=1 shape=+0 ; 1\n", "2: malformed certificate line"),
+        ("1 2 4 box\nmask=1 shape=0 ; 0_1\n", "2: malformed certificate line"),
+        ("1 2 4 box\nmask=1 shape=0 ; \u0661\n", "2: malformed certificate line"),
+        ("1 2 4 box\nmask=1 shape=-4 ; 1\n", "2: malformed certificate line"),
+        ("1 2 4 box\nmask=1 shape=100 ; 1\n", "2: arc start 25 outside [0,1)"),
+        ("1 2 4 box\nmask=1 shape=4 ; 1\n", "2: arc start 1 outside [0,1)"),
+        ("1 2 4 stripe\nmask=1 shape=-0 0 ; 1\n", "2: malformed certificate line"),
     ]:
         path.write_text(text)
         with pytest.raises(ParseError) as err:
             read_certificate(path)
         assert str(err.value) == f"{path}:{message}"
+
+
+def test_fileio_imports_no_prover():
+    # the certificate reader may not lean on a prover: follow fileio's
+    # imports through the package
+    src = Path(torusvc.__file__).parent
+    todo, reached = ["fileio"], set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    todo.append(node.module)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):  # only relative ones reach in
+                    assert "torusvc" not in ast.unparse(node), (name, ast.unparse(node))
+    assert not reached & {"lifting", "shatter", "vcsearch"}, reached
 
 
 def test_certificate_reader_builds_each_distinct_arc_once(tmp_path):

@@ -344,8 +344,9 @@ def witness_digest(witnesses):
 def test_one_mask_search_finds_the_witness_of_the_closure(family):
     # the oracles and the first masks of shatter_report search one mask at
     # a time; they must name the (closure, trace) choice the closure keeps,
-    # which is the one the back-pointer closure walked back to
-    for ps in seeded_point_sets(53, 30, 6, 3, 7):
+    # which is the one the back-pointer closure walked back to; the second
+    # batch has up to six tables, so a choice must look several tables ahead
+    for ps in seeded_point_sets(53, 30, 6, 3, 7) + seeded_point_sets(59, 20, 9, 6, 6):
         _, _, components = shatter._family_tables(ps, family)
         full = (1 << len(ps)) - 1
         closure = shatter._all_ends(components, full)
