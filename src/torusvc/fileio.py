@@ -170,8 +170,8 @@ def certificate_lines(path: str):
             left, right = shape_part.split(";")
             nums, tail = left.split(), right.split()
             # int() would also take a sign, underscores, 0x and other scripts' digits
-            if digits == mask_part or digits.strip("0123456789abcdef") \
-                    or "".join(nums + tail).strip("0123456789"):
+            if (digits == mask_part or digits.strip("0123456789abcdef")
+                    or "".join(nums + tail).strip("0123456789")):
                 raise ValueError(line)
             mask = int(digits, 16)
             nums, tail = [int(v) for v in nums], [int(v) for v in tail]

@@ -430,8 +430,9 @@ def test_tables_are_freed_with_their_point_set():
     assert held() is None
 
 
-def test_one_mask_search_recurses_only_on_a_cut():
-    # 1,199 dimensions that cut nothing must not deepen the search
+def test_one_mask_search_stays_cheap_over_tables_that_cut_nothing():
+    # 1,199 dimensions whose only trace containing the mask is every point
+    # keep one AND, every point, for each table
     d = 1200
     ps = PointSet(d, 4, tuple((F(i, 4),) + (F(0),) * (d - 1) for i in range(4)))
     assert realizable_by_box(ps, 0b0101) is None
