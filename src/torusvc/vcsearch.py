@@ -37,8 +37,20 @@ extension is dense and keeps the origin.  A symmetry sending C onto it
 sends some point p to the origin, and given p, the reflections and the
 dimension permutation, that fixes the rotations: it is the anchored image
 of p.  Symmetries preserve the verdict, so shattered_frontiers scores a
-shattered orbit once, marks all its anchored images as scored, and skips
-every later extension of the same n among them.
+shattered orbit once, keeps all its anchored images, and skips every later
+extension of the same n among them.
+
+Lemma (heredity).  For n >= 2, an extension C of a member of F_(n-1) is
+shattered only if, for each point i, the anchored image of C minus i that
+sends its point 0 to the origin (dense-ranked levels, rotated, with no
+reflection and no permutation) is an anchored image of a member of F_(n-1).
+Proof.  Every subset of a shattered set is shattered, so C minus i is, and
+F_(n-1) holds its class (augmentation lemma); that image is dense, holds
+the origin and lies in C minus i's orbit, so by the orbit lemma's argument
+it is an anchored image of that class's member, one key deciding orbit
+membership.  Deleting the new point gives back the member extended, so
+shattered_frontiers looks up the other n-1 deletions in the anchored images
+of F_(n-1), and rejects C, before any closure, at the first one missing.
 
 Lemma (untied point).  For n >= 2, a family realizes the n-1 points
 full minus {i} only if point i is alone at its level in some dimension.
@@ -46,8 +58,8 @@ Proof.  Every family realizes an AND of per-dimension traces (a stripe a
 single one), and each trace is empty, full, or a cyclic run of tied
 groups, so a union of whole tied groups.  An AND equal to full minus {i}
 needs a trace holding every point but i, and a union of tied groups is
-that only when i is alone in its group.  So _shattered answers False,
-before any closure, when some point is tied in every dimension.
+that only when i is alone in its group.  So shattered_frontiers rejects,
+before any closure, a candidate with a point tied in every dimension.
 
 Cubes and stripes of one fixed length are subfamilies of boxes and of
 stripes of any length, whose value U bounds theirs from above; but their
@@ -137,15 +149,18 @@ def _points(key: int, n: int, d: int) -> tuple:
     return tuple(zip(*[iter(key.to_bytes(n * d, "big"))] * d))
 
 
+def _dense(col) -> tuple:
+    """(the dense ranks of a column's levels, the number of levels)."""
+    rank = {v: r for r, v in enumerate(sorted(set(col)))}
+    return [rank[v] for v in col], len(rank)
+
+
 def _images(levels) -> set:
     """The keys (see _key) of the anchored images of a configuration: its
     dense-ranked levels, reflected per dimension, rotated so that one point
     sits at the origin, and its dimensions put in every order."""
     n = len(levels[0])
-    dense = []
-    for col in levels:
-        rank = {v: r for r, v in enumerate(sorted(set(col)))}
-        dense.append(([rank[v] for v in col], len(rank)))
+    dense = [_dense(col) for col in levels]
     return {
         _key(cols)
         for p in range(n)
@@ -177,44 +192,65 @@ def canonical_class(levels) -> tuple:
     return _points(min(_images(levels)), len(levels[0]), len(levels))
 
 
-def _shattered(levels, family: Family) -> bool:
-    """Whether the family shatters the configuration, answered False
-    before the closure when some point is tied in every dimension (the
-    untied-point lemma)."""
+def _untied(levels) -> bool:
+    """Whether every point is alone at its level in some dimension, which
+    a shattered configuration needs (the untied-point lemma)."""
     n = len(levels[0])
-    if len({i for col in levels for i, x in enumerate(col) if col.count(x) == 1}) < n:
-        return False
+    return len({i for col in levels for i, x in enumerate(col) if col.count(x) == 1}) == n
+
+
+def _hereditary(levels, below: set) -> bool:
+    """Whether every one-point deletion of an extension, but the deletion
+    of its last (new) point, has its class in F_(n-1), whose anchored
+    images' keys are below (the heredity lemma): each deletion is
+    dense-ranked and rotated so that its point 0 sits at the origin, and
+    that one anchored image is looked up."""
+    for i in range(len(levels[0]) - 1):
+        dense = [_dense(col[:i] + col[i + 1:]) for col in levels]
+        if _key([[(x - col[0]) % b for x in col] for col, b in dense]) not in below:
+            return False
+    return True
+
+
+def _shattered(levels, family: Family) -> bool:
+    """Whether the family shatters the configuration, by its closure."""
+    n = len(levels[0])
     return len(realizable_masks(levels, n, family)) == 1 << n
 
 
 def shattered_frontiers(d: int, family: Family, n_max: int) -> list:
     """[F_1, F_2, ...]: the sorted frontiers of shattered classes of the
     boxes or any-length stripes, up to n_max or the last nonempty one.
-    Each candidate is keyed by its sorted points' bytes (see _key).  A
-    shattered one marks its whole orbit, its anchored images, as scored, and
-    its class is the least of them; so by the orbit lemma each shattered orbit
-    is scored once per n, and each other point multiset once."""
+    Each candidate is keyed by its sorted points' bytes (see _key) and
+    passes the untied-point test, then the heredity test against the
+    anchored images of F_(n-1), before its closure.  A shattered one adds
+    its whole orbit, its anchored images, to the images of F_n, and its class
+    is the least of them; a rejected one adds its own key.  So by the orbit
+    lemma each shattered orbit is decided once per n, and each other point
+    multiset once."""
     if family.kind not in (BOXES, STRIPES_ANY):
         raise ValueError(f"order type does not decide the verdict of {family.kind}")
     if n_max < 1:
         raise ValueError("n_max must be positive")
     _check_size(d, 1)
     frontiers = [[((0,) * d,)]]  # F_1: one point, at the origin in every dimension
+    below = _images(((0,),) * d)
     for n in range(2, n_max + 1):
-        scored, found = set(), []
+        images, rejected, found = set(), set(), []
         for levels in enumerate_configs(d, n, frontiers[-1]):
             key = _key(levels)
-            if key in scored:
+            if key in images or key in rejected:
                 continue
-            if _shattered(levels, family):
-                images = _images(levels)
-                scored.update(images)
-                found.append(_points(min(images), n, d))
+            if _untied(levels) and _hereditary(levels, below) and _shattered(levels, family):
+                orbit = _images(levels)
+                images.update(orbit)
+                found.append(_points(min(orbit), n, d))
             else:
-                scored.add(key)
+                rejected.add(key)
         if not found:
             break
         frontiers.append(sorted(found))
+        below = images
     return frontiers
 
 

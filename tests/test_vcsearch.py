@@ -231,8 +231,18 @@ def test_vc_exact_scores_a_fifth_of_the_old_enumeration(monkeypatch):
 
 
 def test_frontiers_score_each_point_multiset_once_per_n(monkeypatch):
-    scored = []
-    shattered = vcsearch._shattered
+    decided, scored, refuted = [], [], []
+    untied, hereditary, shattered = vcsearch._untied, vcsearch._hereditary, vcsearch._shattered
+
+    def decided_untied(levels):
+        decided.append((len(levels[0]), tuple(sorted(zip(*levels)))))
+        return untied(levels)
+
+    def recorded_hereditary(levels, below):
+        verdict = hereditary(levels, below)
+        if not verdict:
+            refuted.append(levels)
+        return verdict
 
     def recorded(levels, family):
         verdict = shattered(levels, family)
@@ -240,12 +250,23 @@ def test_frontiers_score_each_point_multiset_once_per_n(monkeypatch):
                        reference_canonical.canonical_class(levels)))
         return verdict
 
+    monkeypatch.setattr(vcsearch, "_untied", decided_untied)
+    monkeypatch.setattr(vcsearch, "_hereditary", recorded_hereditary)
     monkeypatch.setattr(vcsearch, "_shattered", recorded)
     frontiers = shattered_frontiers(2, Family(BOXES), 7)
     assert [len(f) for f in frontiers] == [1, 2, 3, 6, 8, 6]  # and F_7 is empty
-    assert len({(n, points) for n, points, _, _ in scored}) == len(scored)
+    # each point multiset is decided once per n (F_1 is seeded) ...
+    assert len(set(decided)) == len(decided)
+    assert [sum(1 for m, _ in decided if m == n) for n in range(1, 8)] == [0, 2, 6, 25, 129, 446, 636]
+    # ... and only those that pass the untied-point and heredity tests get a closure
+    assert len(set(points for _, points, _, _ in scored)) == len(scored)
     per_n = [sum(1 for m, _, _, _ in scored if m == n) for n in range(1, 8)]
-    assert per_n == [0, 2, 6, 25, 129, 446, 636]  # F_1 is seeded
+    assert per_n == [0, 2, 3, 11, 38, 87, 21]
+    # the heredity test rejects only candidates that are not shattered
+    assert len(refuted) == 633
+    for levels in refuted:
+        n = len(levels[0])
+        assert len(realizable_masks(levels, n, Family(BOXES))) < 1 << n
     # a shattered orbit is scored once: its class is never met again at its n
     # (an orbit that is not shattered marks only its own point multiset)
     shattered_orbits = [(n, cls) for n, _, verdict, cls in scored if verdict]
@@ -271,6 +292,13 @@ def _reference_frontiers(d, family, n_max):
             break
         frontiers.append(sorted(found))
     return frontiers
+
+
+@pytest.mark.parametrize("kind, n_max", [(BOXES, 7), (STRIPES_ANY, 6)], ids=["boxes_per", "stripes_any"])
+def test_heredity_keeps_the_unpruned_frontiers(kind, n_max):
+    # boxes at n = 7 is where the heredity test rejects most candidates
+    family = Family(kind)
+    assert shattered_frontiers(2, family, n_max) == _reference_frontiers(2, family, n_max)
 
 
 def test_orbit_marking_keeps_the_per_candidate_frontiers_in_space(monkeypatch):
