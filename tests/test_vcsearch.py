@@ -259,7 +259,7 @@ def test_frontiers_score_each_point_multiset_once_per_n(monkeypatch):
     assert len(set(decided)) == len(decided)
     assert [sum(1 for m, _ in decided if m == n) for n in range(1, 8)] == [0, 2, 6, 25, 129, 446, 636]
     # ... and only those that pass the untied-point and heredity tests get a closure
-    assert len(set(points for _, points, _, _ in scored)) == len(scored)
+    assert len({(n, points) for n, points, _, _ in scored}) == len(scored)
     per_n = [sum(1 for m, _, _, _ in scored if m == n) for n in range(1, 8)]
     assert per_n == [0, 2, 3, 11, 38, 87, 21]
     # the heredity test rejects only candidates that are not shattered
