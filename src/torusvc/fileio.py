@@ -140,8 +140,9 @@ def write_certificate(witnesses, dim: int, n_points: int, path: str, denom: int 
 def certificate_lines(path: str):
     """Yields the header (dim, n_points, denom, kind), then (mask, shape) per non-blank line
     as it is parsed, in the grammar write_certificate writes: 'mask=' and lowercase hex
-    digits, then plain decimal numerators, each arc start in [0, D).  Repeats are refused:
-    masks in [0, 2^n) for n <= SEEN_MAP_POINTS are marked in a 2^n-bit map, others in a set."""
+    digits, then decimal numerators, each numeral without leading zeros and each arc start
+    in [0, D).  Repeats are refused: masks in [0, 2^n) for n <= SEEN_MAP_POINTS are marked
+    in a 2^n-bit map, others in a set."""
     lines = _lines(path, "certificate")
     head = next(lines)[1].split()
     if len(head) != 4:
@@ -160,7 +161,7 @@ def certificate_lines(path: str):
     yield dim, n_points, denom, kind
     seen = bytearray((1 << n_points) + 7 >> 3 if n_points <= SEEN_MAP_POINTS else 0)
     others = set()
-    arcs = {}  # (start, length, closed) numerators -> Arc, one per distinct arc
+    arcs = {}  # (start, length, closed) numerators' text -> Arc, one per distinct arc
     for lineno, line in lines:
         if not line.strip():
             continue
@@ -169,12 +170,12 @@ def certificate_lines(path: str):
             digits = mask_part.removeprefix("mask=")
             left, right = shape_part.split(";")
             nums, tail = left.split(), right.split()
-            # int() would also take a sign, underscores, 0x and other scripts' digits
+            # int() also takes signs, underscores, 0x, other scripts' digits and leading zeros
             if (digits == mask_part or digits.strip("0123456789abcdef")
+                    or len(digits) > 1 and digits[0] == "0"
                     or "".join(nums + tail).strip("0123456789")):
                 raise ValueError(line)
             mask = int(digits, 16)
-            nums, tail = [int(v) for v in nums], [int(v) for v in tail]
         except ValueError:
             raise ParseError(path, lineno, "malformed certificate line") from None
         byte, bit = mask >> 3, 1 << (mask & 7)
@@ -197,10 +198,19 @@ def read_certificate(path: str):
     return (*next(lines), dict(lines))
 
 
-def _arc_from(start_num: int, len_num: int, denom: int, closed: bool, arcs: dict) -> Arc:
-    key = (start_num, len_num, closed)
+def _numeral(text: str) -> int:
+    # write_certificate spells a numeral without leading zeros
+    if len(text) > 1 and text[0] == "0":
+        raise ValueError("malformed certificate line")
+    return int(text)
+
+
+def _arc_from(start: str, length: str, denom: int, closed: bool, arcs: dict) -> Arc:
+    # keyed by the numerators' text, each number's one spelling: int() runs once per arc
+    key = (start, length, closed)
     arc = arcs.get(key)
     if arc is None:
+        start_num, len_num = _numeral(start), _numeral(length)
         if not 0 < len_num < denom:
             raise ValueError(f"arc length {Fraction(len_num, denom)} outside (0,1)")
         if start_num >= denom:
@@ -214,7 +224,7 @@ def _build_shape(kind, dim, denom, nums, tail, arcs):
     if kind == "stripe":
         if len(nums) != 2 or len(tail) != 1:
             raise ValueError("stripe shape needs 'anchor start ; length'")
-        return Stripe(nums[0], _arc_from(nums[1], tail[0], denom, False, arcs), dim)
+        return Stripe(_numeral(nums[0]), _arc_from(nums[1], tail[0], denom, False, arcs), dim)
     if len(nums) != dim:
         raise ValueError(f"expected {dim} arc starts, got {len(nums)}")
     if kind == "cube":

@@ -136,19 +136,24 @@ def cube_witness(inst: LiftInstance, subset: Mask) -> Cube:
     # the cube is the complement of the stripe union, so the stripes must
     # cover exactly the points outside the requested subset
     full = (1 << u) - 1
-    groups = [~(subset >> (i * u)) & full for i in range(c)]
-    # a built cell is read from the memo here; _cell builds one, or raises a stored error
     memo = inst.cells
-    cells = [cell if type(cell := memo.get(g)) is tuple else _cell(inst, memo, g) for g in groups]
-    size, match = maximum_matching([supports[i] for i, (_, supports, _) in enumerate(cells)], d)
+    adjacency, row_arcs = [], []
+    for i in range(c):
+        group = ~(subset >> (i * u)) & full
+        # a built cell is read from the memo here; _cell builds one, or raises a stored error
+        if type(cell := memo.get(group)) is not tuple:
+            cell = _cell(inst, memo, group)
+        adjacency.append(cell[1][i])
+        row_arcs.append(cell[2][i])
+    size, match = maximum_matching(adjacency, d)
     if size < c:
         raise ValueError(
             "extraction matching failed: matrix lacks the extraction property "
-            f"for anchor word {tuple(anchor for anchor, _, _ in cells)}"
+            f"for anchor word {tuple(memo[~(subset >> (i * u)) & full][0] for i in range(c))}"
         )
     arcs = [inst.filler] * d
-    for i, (_, _, cell_arcs) in enumerate(cells):
-        arcs[match[i]] = cell_arcs[i]
+    for j, arc in zip(match, row_arcs):
+        arcs[j] = arc
     return Cube(tuple(arcs))
 
 

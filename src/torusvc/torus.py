@@ -85,8 +85,9 @@ class Box:
     def __post_init__(self):
         if len(self.arcs) < 1:
             raise ValueError("box needs at least one dimension")
-        if not all(a.closed for a in self.arcs):
-            raise ValueError("box factors must be closed arcs")
+        for a in self.arcs:
+            if not a.closed:
+                raise ValueError("box factors must be closed arcs")
 
     @property
     def dim(self) -> int:
@@ -100,7 +101,7 @@ class Cube(Box):
     edge: Rat = field(init=False)
 
     def __post_init__(self):
-        super().__post_init__()
+        Box.__post_init__(self)
         object.__setattr__(self, "edge", self.arcs[0].length)
         num, den = self.edge.numerator, self.edge.denominator
         for a in self.arcs:

@@ -8,15 +8,17 @@ takes its failure witness from ``deficient_set``'s alternating search,
 rebuilds each group's base stripe, support and arcs per mask.  They are
 kept verbatim, but for the witness search's own node budget, so that the
 tests can check the prefix-DFS checker, the memoized witness search and
-the per-instance cell tables against the answers the package gave before.  From ``torusvc`` this imports only ``torus``, ``matching``,
-``stripes`` and ``shatter``.
+the per-instance cell tables against the answers the package gave before.
+They match through ``reference_matching``'s copy of the Kuhn loop, not the
+one they check.  From ``torusvc`` this imports only ``torus``, ``stripes``
+and ``shatter``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from torusvc.matching import maximum_matching
+from reference_matching import maximum_matching
 from torusvc.shatter import scan_stripe
 from torusvc.stripes import stripe_witness
 from torusvc.torus import ONE, Arc, Cube

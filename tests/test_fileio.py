@@ -191,6 +191,16 @@ def test_certificate_parse_errors(tmp_path):
         ("1 2 4 box\nmask=1 shape=100 ; 1\n", "2: arc start 25 outside [0,1)"),
         ("1 2 4 box\nmask=1 shape=4 ; 1\n", "2: arc start 1 outside [0,1)"),
         ("1 2 4 stripe\nmask=1 shape=-0 0 ; 1\n", "2: malformed certificate line"),
+        # no numeral has a leading zero, so each number has one spelling
+        ("1 2 4 box\nmask=00 shape=0 ; 1\n", "2: malformed certificate line"),
+        ("1 2 4 box\nmask=01 shape=0 ; 1\n", "2: malformed certificate line"),
+        ("1 2 16 box\nmask=1 shape=012 ; 1\n", "2: malformed certificate line"),
+        ("1 2 4 box\nmask=1 shape=0 ; 01\n", "2: malformed certificate line"),
+        ("2 2 4 stripe\nmask=1 shape=01 0 ; 1\n", "2: malformed certificate line"),
+        ("2 2 4 stripe\nmask=1 shape=1 00 ; 1\n", "2: malformed certificate line"),
+        ("1 2 4 box\nmask=0 shape=1 ; 1\nmask=1 shape=01 ; 1\n", "3: malformed certificate line"),
+        # a start read on an earlier line is checked again with a new length
+        ("1 2 4 box\nmask=0 shape=1 ; 2\nmask=1 shape=1 ; 4\n", "3: arc length 1 outside (0,1)"),
     ]:
         path.write_text(text)
         with pytest.raises(ParseError) as err:

@@ -9,6 +9,7 @@ import reference_lift
 from torusvc import lifting
 from torusvc.errors import GuardExceeded
 from torusvc.extraction import SymbolMatrix, check_extraction
+from torusvc.fileio import read_certificate, write_certificate
 from torusvc.lifting import (
     cube_witness,
     lift_points,
@@ -249,10 +250,26 @@ def test_base_stripe_scan_reads_every_dimension():
     assert (report.checked, report.failures) == (2, [])
 
 
+def test_certificate_reads_back_each_masks_cube_witness(tmp_path):
+    inst = worked_instance()
+    masks = range(1 << len(inst.lifted))
+    report = verify_lift(inst, masks)
+    path = tmp_path / "cert.txt"
+    write_certificate(((mask, cube_witness(inst, mask)) for mask in masks),
+                      inst.lifted.dim, len(inst.lifted), path, report.denom)
+    dim, n_points, denom, kind, back = read_certificate(path)
+    assert (dim, n_points, denom, kind) == (inst.lifted.dim, len(inst.lifted), report.denom, "cube")
+    assert sorted(back) == list(masks)
+    for mask in masks:
+        assert back[mask] == cube_witness(inst, mask), mask
+
+
 def test_reference_lift_shares_no_code_with_what_it_checks():
-    tree = ast.parse((Path(__file__).parent / "reference_lift.py").read_text())
-    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert {m for m in imported if m.startswith("torusvc")} <= {
-        "torusvc.torus", "torusvc.matching", "torusvc.stripes", "torusvc.shatter"}
-    assert not any(isinstance(node, ast.Import) and any(a.name.startswith("torusvc") for a in node.names)
-                   for node in ast.walk(tree))
+    # the reference matches through reference_matching, which imports nothing from torusvc
+    for name, allowed in [("reference_lift.py", {"torusvc.torus", "torusvc.stripes", "torusvc.shatter"}),
+                          ("reference_matching.py", set())]:
+        tree = ast.parse((Path(__file__).parent / name).read_text())
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert {m for m in imported if m.startswith("torusvc")} <= allowed, name
+        assert not any(isinstance(node, ast.Import) and any(a.name.startswith("torusvc") for a in node.names)
+                       for node in ast.walk(tree)), name

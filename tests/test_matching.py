@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import reference_matching
 from reference_lift import deficient_set
 from torusvc.errors import GuardExceeded
 from torusvc.matching import maximum_matching
@@ -62,6 +63,26 @@ def test_random_instances_hall_consistency():
                 nbhd |= set(adjacency[r])
             assert nbhd <= set(cols)
             assert len(cols) < len(rows)
+
+
+def test_matching_equals_the_kuhn_loop_it_replaced():
+    # taking a free first column without a search must not change which
+    # matching comes back: empty rows, repeated supports, perfect and deficient
+    rng = random.Random(25)
+    seen = {"perfect": 0, "deficient": 0, "empty row": 0, "repeated support": 0}
+    for _ in range(3000):
+        n_right = rng.randint(1, 12)
+        pool = [sorted(rng.sample(range(n_right), rng.randint(0, min(n_right, 4))))
+                for _ in range(rng.randint(1, 4))]
+        adjacency = [list(rng.choice(pool)) if rng.random() < 0.5
+                     else sorted(rng.sample(range(n_right), rng.randint(0, n_right)))
+                     for _ in range(rng.randint(1, 12))]
+        size, match = maximum_matching(adjacency, n_right)
+        assert (size, match) == reference_matching.maximum_matching(adjacency, n_right), adjacency
+        seen["perfect" if size == len(adjacency) else "deficient"] += 1
+        seen["empty row"] += [] in adjacency
+        seen["repeated support"] += len(set(map(tuple, adjacency))) < len(adjacency)
+    assert min(seen.values()) > 100, seen
 
 
 def chain(n):
