@@ -237,7 +237,11 @@ def _guess(d: int, terms, start: int, known=None) -> int:
 
 
 def stripe_upper_bound_n(d: int) -> int:
-    """Smallest n with 2^n > d (n+1)^2 (for it and all larger n); VC(stripes_l) <= n - 1."""
+    """Smallest n with 2^n > d (n+1)^2 (for it and all larger n); VC(stripes_l) <= n - 1.
+
+    Count lemma: open arcs of one length trace at most 2n subsets of n >= 1 points on a circle:
+    a trace changes only at the <= 2n places where an end meets a point, and is new there only if
+    a point leaves as one enters. So stripes_l trace at most 2nd in T^d (this scan: d (n+1)^2)."""
     if d < 1:
         raise ValueError("d must be positive")
     # 2^n > d (n+1)^2 just when n >= bit_length(d (n+1)^2), which rises

@@ -124,8 +124,7 @@ def write_certificate(witnesses, dim: int, n_points: int, path: str, denom: int 
                 raise ValueError(f"mixed shape kinds: {kind} and {type(shape).__name__.lower()}")
             cells = []
             for _, arc in shape_factors(shape, dim):
-                cell = text.get(arc.grid)
-                if cell is None:
+                if (cell := text.get(arc.grid)) is None:
                     s, _, w, q = arc.grid
                     cell = text[arc.grid] = str(s * (denom // q)), str(w * (denom // q))
                 cells.append(cell)
@@ -140,15 +139,15 @@ def write_certificate(witnesses, dim: int, n_points: int, path: str, denom: int 
 def certificate_lines(path: str):
     """Yields the header (dim, n_points, denom, kind), then (mask, shape) per non-blank line
     as it is parsed, in the grammar write_certificate writes: 'mask=' and lowercase hex
-    digits, then decimal numerators, each numeral without leading zeros and each arc start
-    in [0, D).  Repeats are refused: masks in [0, 2^n) for n <= SEEN_MAP_POINTS are marked
-    in a 2^n-bit map, others in a set."""
+    digits, then decimal numerators; each decimal numeral, the header's too, is spelled
+    str(int(numeral)), and each arc start is in [0, D).  Repeats are refused: masks in
+    [0, 2^n) for n <= SEEN_MAP_POINTS are marked in a 2^n-bit map, others in a set."""
     lines = _lines(path, "certificate")
     head = next(lines)[1].split()
     if len(head) != 4:
         raise ParseError(path, 1, "expected header 'd n D kind'")
     try:
-        dim, n_points, denom = int(head[0]), int(head[1]), int(head[2])
+        dim, n_points, denom = map(_numeral, head[:3])
     except ValueError:
         raise ParseError(path, 1, "non-integer header field") from None
     if dim < 1 or n_points < 0:
@@ -161,7 +160,8 @@ def certificate_lines(path: str):
     yield dim, n_points, denom, kind
     seen = bytearray((1 << n_points) + 7 >> 3 if n_points <= SEEN_MAP_POINTS else 0)
     others = set()
-    arcs = {}  # (start, length, closed) numerators' text -> Arc, one per distinct arc
+    # (length, closed) -> {start: Arc}, numerators' text; _arc_from runs on a miss only
+    arcs = _Table(lambda key: _Table(lambda start: _arc_from(start, *key, denom)))
     for lineno, line in lines:
         if not line.strip():
             continue
@@ -186,7 +186,7 @@ def certificate_lines(path: str):
         else:
             others.add(mask)
         try:
-            shape = _build_shape(kind, dim, denom, nums, tail, arcs)
+            shape = _build_shape(kind, dim, nums, tail, arcs)
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
         yield mask, shape
@@ -199,39 +199,44 @@ def read_certificate(path: str):
 
 
 def _numeral(text: str) -> int:
-    # write_certificate spells a numeral without leading zeros
-    if len(text) > 1 and text[0] == "0":
+    # write_certificate's one spelling, str(int(text)): no '+', '_', '-0' or leading zero
+    value = int(text)
+    if str(value) != text:
         raise ValueError("malformed certificate line")
-    return int(text)
+    return value
 
 
-def _arc_from(start: str, length: str, denom: int, closed: bool, arcs: dict) -> Arc:
-    # keyed by the numerators' text, each number's one spelling: int() runs once per arc
-    key = (start, length, closed)
-    arc = arcs.get(key)
-    if arc is None:
-        start_num, len_num = _numeral(start), _numeral(length)
-        if not 0 < len_num < denom:
-            raise ValueError(f"arc length {Fraction(len_num, denom)} outside (0,1)")
-        if start_num >= denom:
-            raise ValueError(f"arc start {Fraction(start_num, denom)} outside [0,1)")
-        end = (start_num + len_num) % denom
-        arc = arcs[key] = Arc(Fraction(start_num, denom), Fraction(end, denom), closed=closed)
-    return arc
+class _Table(dict):
+    """A dict that builds a missing value as make(key) and keeps it."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.make(key))
 
 
-def _build_shape(kind, dim, denom, nums, tail, arcs):
+def _arc_from(start: str, length: str, closed: bool, denom: int) -> Arc:
+    start_num, len_num = _numeral(start), _numeral(length)
+    if not 0 < len_num < denom:
+        raise ValueError(f"arc length {Fraction(len_num, denom)} outside (0,1)")
+    if start_num >= denom:
+        raise ValueError(f"arc start {Fraction(start_num, denom)} outside [0,1)")
+    end = (start_num + len_num) % denom
+    return Arc(Fraction(start_num, denom), Fraction(end, denom), closed=closed)
+
+
+def _build_shape(kind, dim, nums, tail, arcs):
     if kind == "stripe":
         if len(nums) != 2 or len(tail) != 1:
             raise ValueError("stripe shape needs 'anchor start ; length'")
-        return Stripe(_numeral(nums[0]), _arc_from(nums[1], tail[0], denom, False, arcs), dim)
+        return Stripe(_numeral(nums[0]), arcs[tail[0], False][nums[1]], dim)
     if len(nums) != dim:
         raise ValueError(f"expected {dim} arc starts, got {len(nums)}")
     if kind == "cube":
         if len(tail) != 1:
             raise ValueError("cube shape needs a single edge numerator")
-        cube_arcs = tuple(_arc_from(s, tail[0], denom, True, arcs) for s in nums)
-        return Cube(cube_arcs)  # the edge is the arcs' length, tail[0] / denom
+        return Cube(tuple(map(arcs[tail[0], True].__getitem__, nums)))  # edge: tail[0] / denom
     if len(tail) != dim:
         raise ValueError(f"expected {dim} arc lengths, got {len(tail)}")
-    return Box(tuple(_arc_from(s, ln, denom, True, arcs) for s, ln in zip(nums, tail)))
+    return Box(tuple(arcs[ln, True][s] for s, ln in zip(nums, tail)))

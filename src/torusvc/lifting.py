@@ -129,17 +129,18 @@ def cube_witness(inst: LiftInstance, subset: Mask) -> Cube:
     the point-free stripe ((c)/(c+1), (c+l)/(c+1)), and returns the cube
     whose factors are the closed complements; edge is exactly 1 - l/(c+1).
     """
-    c, d, u = inst.matrix.n_rows, inst.matrix.n_cols, len(inst.base)
+    c, d, u = len(rows := inst.matrix.rows), len(rows[0]), len(inst.base.points)
     if subset < 0 or subset >> (c * u):
         raise ValueError("mask out of range for the lifted point set")
 
-    # the cube is the complement of the stripe union, so the stripes must
-    # cover exactly the points outside the requested subset
+    # the cube is the stripes' complement, so they cover exactly the points outside the subset
     full = (1 << u) - 1
     memo = inst.cells
     adjacency, row_arcs = [], []
+    rest = ~subset  # ~subset >> (i * u) == ~(subset >> (i * u)): group i's complement
     for i in range(c):
-        group = ~(subset >> (i * u)) & full
+        group = rest & full
+        rest >>= u
         # a built cell is read from the memo here; _cell builds one, or raises a stored error
         if type(cell := memo.get(group)) is not tuple:
             cell = _cell(inst, memo, group)

@@ -108,13 +108,14 @@ def _cover(table, s: int, e: int, m: int, closed: bool) -> Mask:
 
 def covered_mask(ps: PointSet, shape) -> Mask:
     """Bitmask of the points of ps in the shape; each arc's cover is kept in ps.covers."""
-    m = (1 << len(ps)) - 1
+    covers = ps.covers
+    m = (1 << len(ps.points)) - 1
     for j, arc in shape_factors(shape, ps.dim):
         key = j, arc.grid, arc.closed
-        cover = ps.covers.get(key)
+        cover = covers.get(key)
         if cover is None:
             s, e, _, q = arc.grid
-            cover = ps.covers[key] = _cover(ps.prefix[j], s * ps.denom, e * ps.denom, q, arc.closed)
+            cover = covers[key] = _cover(ps.prefix[j], s * ps.denom, e * ps.denom, q, arc.closed)
         m &= cover
     return m
 

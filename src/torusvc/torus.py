@@ -101,12 +101,15 @@ class Cube(Box):
     edge: Rat = field(init=False)
 
     def __post_init__(self):
-        Box.__post_init__(self)
+        # one pass; on a fault Box's checks run first, so their messages outrank the edge's
+        if not self.arcs:
+            Box.__post_init__(self)
         object.__setattr__(self, "edge", self.arcs[0].length)
         num, den = self.edge.numerator, self.edge.denominator
         for a in self.arcs:
             _, _, w, q = a.grid
-            if w * den != num * q:
+            if w * den != num * q or not a.closed:
+                Box.__post_init__(self)
                 raise ValueError("cube arcs must all have the edge length")
 
 

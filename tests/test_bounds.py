@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import reference_scanners
+from bruteforce import random_point_set
 from torusvc import bounds
 from torusvc.bounds import (
     _exceeds,
@@ -24,6 +25,8 @@ from torusvc.bounds import (
 )
 from torusvc.errors import NotCertified
 from torusvc.extraction import verify_ext_req
+from torusvc.shatter import STRIPES_FIXED, Family, growth_count
+from torusvc.torus import PointSet
 
 F = Fraction
 
@@ -60,6 +63,25 @@ def test_stripe_scanner_small_values():
     for d in (1, 2, 4, 10, 100):
         want = naive_persistent(lambda n: 2**n > d * (n + 1) ** 2)
         assert stripe_upper_bound_n(d) == want
+
+
+def test_fixed_length_stripe_count_lemma():
+    # stripe_upper_bound_n's docstring: arcs of one length trace at most 2n
+    # subsets of n points on a circle, so stripes_l trace at most 2nd in T^d
+    rng = random.Random(20)
+    tied = reached = 0
+    for _ in range(400):
+        n, d, denom = rng.randint(1, 9), rng.randint(1, 5), rng.randint(2, 12)
+        q = rng.randint(2, 7)
+        ps = random_point_set(rng, n, d, denom)
+        tied += any(len(set(col)) < n for col in ps.cols)
+        growth = growth_count(ps, Family(STRIPES_FIXED, F(rng.randrange(1, q), q)))
+        assert growth <= 2 * n * d, (ps, growth)
+        reached += growth == 2 * n * d
+    assert tied > 200 and reached > 0
+    # equality: {0, 1/4} on the circle, l = 1/2: {}, {0}, {1/4} and both
+    ps = PointSet(1, 4, ((F(0),), (F(1, 4),)))
+    assert growth_count(ps, Family(STRIPES_FIXED, F(1, 2))) == 4
 
 
 def test_trivial_scanner_matches_naive():

@@ -616,6 +616,31 @@ def test_certify_lift_certificate_bytes_are_pinned(tmp_path, name):
     assert hashlib.sha256(cert.read_bytes()).hexdigest() == CERTIFICATE_SHA256[name]
 
 
+# the 21-point lift: 3 points in T^2 over 12, shattered by stripes of length
+# 1/2, through the 7 x 8 staircase M[i][j] = [j <= i] over 2 symbols
+LIFT21_BASE = "2 3 12\n10 8\n4 6\n6 9\n"
+LIFT21_MATRIX = "7 8 2\n" + "".join(
+    " ".join("1" if j <= i else "0" for j in range(8)) + "\n" for i in range(7))
+
+
+def test_lift21_sampled_certificate_round_trip(tmp_path):
+    # README gives the full-range commands; 4096 seeded draws cover c = 7,
+    # the filler arc of the one unmatched dimension and a sampled denominator
+    base, matrix = tmp_path / "base.txt", tmp_path / "stair.txt"
+    base.write_text(LIFT21_BASE)
+    matrix.write_text(LIFT21_MATRIX)
+    lift = ("--points", str(base), "--matrix", str(matrix), "--l", "1/2")
+    cert, lifted = tmp_path / "cert.txt", tmp_path / "lifted.txt"
+    assert cli("certify-lift", *lift, "--sample", "4096", "--seed", "0", "-o", str(cert)) == (
+        0, "certified 4092 masks\n", "")
+    assert cert.read_text().startswith("8 21 192 cube\n")
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == (
+        "3be20abbdcf75e59606e81c1ffc0d5a7104796151abdcada0298f28eeebb9ee0")
+    assert cli("lift", *lift, "-o", str(lifted))[0] == 0
+    assert cli("verify-cert", str(lifted), str(cert), "--sampled") == (
+        0, "verified 4092 masks\n", "")
+
+
 def test_search_refuses_more_points_than_a_growth_count(monkeypatch):
     # the guard's own size is still searched
     assert cli("search", "--d", "1", "--n", "20", "--budget", "0")[0] == 1

@@ -169,6 +169,11 @@ def test_certificate_parse_errors(tmp_path):
         ("", "1: empty certificate file"),
         ("2 2 8\n", "1: expected header 'd n D kind'"),
         ("2 x 8 box\n", "1: non-integer header field"),
+        # the header is held to the writer's spelling too: str(int(field))
+        ("+1 2 0_4 box\nmask=1 shape=0 ; 1\n", "1: non-integer header field"),
+        ("02 2 8 box\n", "1: non-integer header field"),
+        ("2 2 \u0668 box\n", "1: non-integer header field"),
+        ("1 -0 4 box\nmask=1 shape=0 ; 1\n", "1: non-integer header field"),
         ("2 2 8 box\nmask=1 0 4 ; 2 2\n", "2: malformed certificate line"),
         ("2 2 8 box\nmask=zz shape=0 4 ; 2 2\n", "2: malformed certificate line"),
         ("2 2 8 box\nmask=1 shape=0 4 ; 2 8\n", "2: arc length 1 outside (0,1)"),
@@ -201,6 +206,7 @@ def test_certificate_parse_errors(tmp_path):
         ("1 2 4 box\nmask=0 shape=1 ; 1\nmask=1 shape=01 ; 1\n", "3: malformed certificate line"),
         # a start read on an earlier line is checked again with a new length
         ("1 2 4 box\nmask=0 shape=1 ; 2\nmask=1 shape=1 ; 4\n", "3: arc length 1 outside (0,1)"),
+        ("2 2 4 cube\nmask=0 shape=1 3 ; 2\nmask=1 shape=3 1 ; 4\n", "3: arc length 1 outside (0,1)"),
     ]:
         path.write_text(text)
         with pytest.raises(ParseError) as err:
@@ -233,6 +239,18 @@ def test_certificate_reader_builds_each_distinct_arc_once(tmp_path):
     _, _, denom, _, back = read_certificate(path)
     assert denom == 6 and back == witnesses
     assert len({id(a) for cube in back.values() for a in cube.arcs}) == 2
+
+
+def test_certificate_reader_keys_each_start_under_its_edge(tmp_path):
+    # start 0 under edges 1/3 and 1/2: one start text, two arcs
+    witnesses = {0: Cube((Arc(F(0), F(1, 3)), Arc(F(1, 3), F(2, 3)))),
+                 1: Cube((Arc(F(1, 2), F(0)), Arc(F(0), F(1, 2))))}
+    path = tmp_path / "cert.txt"
+    write_certificate(witnesses, 2, 2, path)
+    assert path.read_text().splitlines()[1:] == ["mask=0 shape=0 2 ; 2", "mask=1 shape=3 0 ; 3"]
+    _, _, denom, _, back = read_certificate(path)
+    assert denom == 6 and back == witnesses
+    assert back[0].arcs[0] != back[1].arcs[1] and back[1].arcs[1].length == F(1, 2)
 
 
 def test_certificate_numerators_are_exact_for_large_denominators(tmp_path):

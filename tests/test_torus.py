@@ -134,10 +134,23 @@ def test_cube_derives_and_checks_edge():
 
 
 def test_box_requires_closed_arcs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^box factors must be closed arcs$"):
         Box((Arc(F(0), F(1, 2), closed=False),))
     with pytest.raises(ValueError, match="^box needs at least one dimension$"):
         Box(())
+
+
+def test_cube_shape_checks_keep_their_precedence():
+    closed, short = Arc(F(0), F(1, 2)), Arc(F(0), F(1, 4))
+    opened = Arc(F(1, 2), F(0), closed=False)
+    with pytest.raises(ValueError, match="^box needs at least one dimension$"):
+        Cube(())
+    with pytest.raises(ValueError, match="^cube arcs must all have the edge length$"):
+        Cube((closed, short, closed))
+    # an open arc outranks a wrong length, before it or after it
+    for arcs in ((closed, short, opened), (opened, short), (closed, opened, short)):
+        with pytest.raises(ValueError, match="^box factors must be closed arcs$"):
+            Cube(arcs)
 
 
 def test_stripe_validation():
