@@ -25,7 +25,6 @@ from .lifting import LiftInstance, LiftReport, cube_witness, lift_points, verify
 from .shatter import (
     Family,
     ShatterReport,
-    covered_mask,
     growth_count,
     realizable_by_box,
     realizable_by_cube,
@@ -33,7 +32,7 @@ from .shatter import (
     shatter_report,
 )
 from .stripes import build_stripe_shattered_set, stripe_witness
-from .torus import Arc, Box, Cube, PointSet, Stripe, arc_contains, arc_length
+from .torus import Arc, Box, Cube, PointSet, Stripe, arc_contains, arc_length, covered_mask
 from .vcsearch import enumerate_configs, search_shattered, vc_exact
 
 __all__ = [

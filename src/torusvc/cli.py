@@ -23,8 +23,9 @@ from .fileio import (
     write_points,
 )
 from .lifting import cube_witness, lift_points, sample_masks, verify_lift
-from .shatter import KINDS, STRIPES_FIXED, Family, covered_mask, growth_count, shatter_report
+from .shatter import KINDS, STRIPES_FIXED, Family, growth_count, shatter_report
 from .stripes import build_stripe_shattered_set
+from .torus import covered_mask
 from .vcsearch import search_shattered, vc_exact
 
 EXIT_OK = 0

@@ -126,6 +126,8 @@ def write_certificate(witnesses, dim: int, n_points: int, path: str, denom: int 
             for _, arc in shape_factors(shape, dim):
                 if (cell := text.get(arc.grid)) is None:
                     s, _, w, q = arc.grid
+                    if denom % q:
+                        raise ValueError(f"denominator {denom} is not a multiple of an arc's {q}")
                     cell = text[arc.grid] = str(s * (denom // q)), str(w * (denom // q))
                 cells.append(cell)
             starts, lengths = zip(*cells)

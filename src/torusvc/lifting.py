@@ -20,9 +20,9 @@ from math import lcm
 from .errors import GuardExceeded
 from .extraction import SymbolMatrix
 from .matching import maximum_matching
-from .shatter import covered_mask, scan_stripe
+from .shatter import scan_stripe
 from .stripes import _check_length, build_stripe_shattered_set, stripe_witness
-from .torus import ONE, Arc, Cube, PointSet, Rat
+from .torus import ONE, Arc, Cube, PointSet, Rat, covered_mask
 from .torus import arc_contains  # noqa: F401  (a binding site bench/test_bench.py checks)
 
 Mask = int

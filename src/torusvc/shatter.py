@@ -14,7 +14,7 @@ realizable_masks builds the same levels as plain sets of masks.
 shatter_report reads a shattered set's witnesses off the stored arc ends;
 the oracles, and shatter_report for its first 2^(n-8) masks, find the
 same witness of one mask without the closure.  The first-seen rule makes
-each witness a function of the point set alone, and covered_mask
+each witness a function of the point set alone, and torus.covered_mask
 re-checks every witness (a mismatch raises PostconditionError).
 
 The tables are complete at grid resolution: because every coordinate is a
@@ -32,9 +32,9 @@ the even t, ascending, with starts on the quarter-grid.  Fixed-length
 stripes start on {t/g}, g = 2 lcm(D, denominator of the length), where
 every start where an arc end crosses a value lies; those and 0 are scanned.
 
-Coverage is integer arithmetic on PointSet.cols (numerators over D): _cover
-rounds Arc.grid's endpoints onto the point grid and XORs two prefix masks
-of PointSet.prefix, built once, like PointSet.tables (once per family).
+Trace tables are integer arithmetic on PointSet.cols (numerators over D):
+_cover rounds an arc's ends onto the point grid and XORs two prefix masks
+of prefix_table.  Witnesses are checked apart, by torus.covered_mask.
 """
 
 from bisect import bisect_left
@@ -52,8 +52,7 @@ from .torus import (
     Stripe,
     _check_coord,
     arc_contains,  # noqa: F401  (a binding site bench/test_bench.py checks)
-    prefix_table,
-    shape_factors,
+    covered_mask,
 )
 
 Mask = int
@@ -94,6 +93,22 @@ class ShatterReport:
     witnesses: dict = field(default_factory=dict)
 
 
+def prefix_table(cols: tuple) -> tuple:
+    """Per dimension, the sorted distinct numerators and the prefix masks
+    below[k] of the points with numerator < values[k] (below[-1]: all)."""
+    tables = []
+    for col in cols:
+        groups = {}
+        for i, x in enumerate(col):
+            groups[x] = groups.get(x, 0) | 1 << i
+        values = sorted(groups)
+        below = [0]
+        for v in values:
+            below.append(below[-1] | groups[v])
+        tables.append((values, below))
+    return tuple(tables)
+
+
 def _cover(table, s: int, e: int, m: int, closed: bool) -> Mask:
     """Mask of the points in the arc from s/(mD) to e/(mD), wrapping when s > e
     (an open arc with s == e is the circle minus one value)."""
@@ -104,20 +119,6 @@ def _cover(table, s: int, e: int, m: int, closed: bool) -> Mask:
         lo, hi, wraps = s // m + 1, -(-e // m), s >= e
     inner = below[bisect_left(values, hi)] ^ below[bisect_left(values, lo)]
     return below[-1] ^ inner if wraps else inner
-
-
-def covered_mask(ps: PointSet, shape) -> Mask:
-    """Bitmask of the points of ps in the shape; each arc's cover is kept in ps.covers."""
-    covers = ps.covers
-    m = (1 << len(ps.points)) - 1
-    for j, arc in shape_factors(shape, ps.dim):
-        key = j, arc.grid, arc.closed
-        cover = covers.get(key)
-        if cover is None:
-            s, e, _, q = arc.grid
-            cover = covers[key] = _cover(ps.prefix[j], s * ps.denom, e * ps.denom, q, arc.closed)
-        m &= cover
-    return m
 
 
 def _checked(ps: PointSet, subset: Mask, shape):
@@ -203,7 +204,7 @@ def _family_tables(ps: PointSet, family: Family) -> tuple:
     """The oracles' _components of ps, every table built, kept in ps.tables."""
     tables = ps.tables.get(family)
     if tables is None:
-        g, closed, components = _components(ps.denom, ps.prefix, family)
+        g, closed, components = _components(ps.denom, prefix_table(ps.cols), family)
         tables = ps.tables[family] = g, closed, tuple(components)
     return tables
 

@@ -8,7 +8,9 @@ q = lcm of the endpoint denominators, so the cube edge check, coverage and
 certificate output multiply integers.  Boxes are products of closed arcs,
 cubes are boxes whose arcs share a common length, and stripes are products
 of full circles with a single open arc in one anchor dimension.  Nothing
-in this module rounds.
+in this module rounds.  arc_contains is the package's one containment
+rule; covered_mask, built on it, checks every witness and certificate
+line, and this module imports nothing from the package.
 """
 
 from dataclasses import dataclass, field
@@ -60,15 +62,13 @@ def arc_length(arc: Arc) -> Rat:
 
 
 def arc_contains(arc: Arc, x: Rat) -> bool:
-    """Exact containment respecting wrap-around and the closure flag."""
-    a, b = arc.start, arc.end
-    if arc.closed:
-        if a < b:
-            return a <= x <= b
-        return x >= a or x <= b
-    if a < b:
-        return a < x < b
-    return x > a or x < b
+    """Exact containment respecting wrap-around and the closure flag, by
+    integer products: x = y/r against the grid ends s/q and e/q."""
+    _check_coord(x)
+    s, e, _, q = arc.grid
+    y, r = x.numerator * q, x.denominator
+    lo, hi = (s * r <= y, y <= e * r) if arc.closed else (s * r < y, y < e * r)
+    return (lo and hi) if s < e else (lo or hi)
 
 
 def arc_complement(arc: Arc) -> Arc:
@@ -149,22 +149,6 @@ def shape_contains(shape, p) -> bool:
     return all(arc_contains(arc, p[j]) for j, arc in shape_factors(shape, len(p)))
 
 
-def prefix_table(cols: tuple) -> tuple:
-    """Per dimension, the sorted distinct numerators and the prefix masks
-    below[k] of the points with numerator < values[k] (below[-1]: all)."""
-    tables = []
-    for col in cols:
-        groups = {}
-        for i, x in enumerate(col):
-            groups[x] = groups.get(x, 0) | 1 << i
-        values = sorted(groups)
-        below = [0]
-        for v in values:
-            below.append(below[-1] | groups[v])
-        tables.append((values, below))
-    return tuple(tables)
-
-
 @dataclass(frozen=True)
 class PointSet:
     """A finite configuration on the d-torus, all coordinates on a 1/D grid."""
@@ -174,9 +158,7 @@ class PointSet:
     points: tuple
     # integer view: cols[j][i] is D times point i's coordinate in dimension j
     cols: tuple = field(init=False, repr=False, compare=False)
-    # prefix_table(cols), which coverage reads
-    prefix: tuple = field(init=False, repr=False, compare=False)
-    # {(j, arc.grid, arc.closed): mask of the points in the arc}, shatter.covered_mask's cache
+    # {(j, arc.grid, arc.closed): mask of the points in the arc}, covered_mask's cache
     covers: dict = field(init=False, repr=False, compare=False)
     # {family: its shatter tables}, shatter._family_tables's cache
     tables: dict = field(init=False, repr=False, compare=False)
@@ -197,7 +179,6 @@ class PointSet:
                     raise ValueError(f"coordinate {x} not on the 1/{self.denom} grid")
                 col.append(scaled.numerator)
         object.__setattr__(self, "cols", tuple(map(tuple, cols)))
-        object.__setattr__(self, "prefix", prefix_table(self.cols))
         object.__setattr__(self, "covers", {})
         object.__setattr__(self, "tables", {})
 
@@ -214,3 +195,17 @@ class PointSet:
         denom = lcm(1, *(x.denominator for p in pts for x in p))
         return PointSet(dim, denom, pts)
 
+
+def covered_mask(ps: PointSet, shape) -> int:
+    """Bitmask of the points of ps in the shape (bit i: point i), by
+    arc_contains; each arc's cover is kept in ps.covers."""
+    covers = ps.covers
+    m = (1 << len(ps.points)) - 1
+    for j, arc in shape_factors(shape, ps.dim):
+        key = j, arc.grid, arc.closed
+        cover = covers.get(key)
+        if cover is None:
+            cover = covers[key] = sum(1 << i for i, p in enumerate(ps.points)
+                                      if arc_contains(arc, p[j]))
+        m &= cover
+    return m

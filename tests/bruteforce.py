@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the fast ones.
 
-These deliberately share no code with torusvc.shatter: realizability is
-decided by enumerating every arc with endpoints on the quarter-grid
-{t/(4D)} and combining per-dimension coverage masks by intersection.
+These deliberately share no code with torusvc.shatter or with the
+checker, torus.arc_contains: realizability is decided by enumerating every
+arc with endpoints on the quarter-grid {t/(4D)} and combining
+per-dimension coverage masks, each from contains below, by intersection.
 
 The quarter-grid oracles rest on the same completeness argument as the
 code under test (endpoints on {t/(4D)}, cube edges on {t/(2D)}).  The
@@ -17,13 +18,27 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from torusvc.torus import Arc, PointSet, arc_contains
+from torusvc.torus import Arc, PointSet
+
+
+def contains(arc, x):
+    """Exact containment compared on the arc's Fraction ends, respecting
+    wrap-around and the closure flag; kept apart from torus.arc_contains,
+    which works on the arc's grid form and is checked against this."""
+    a, b = arc.start, arc.end
+    if arc.closed:
+        if a < b:
+            return a <= x <= b
+        return x >= a or x <= b
+    if a < b:
+        return a < x < b
+    return x > a or x < b
 
 
 def _coverage(ps, j, arc):
     cov = 0
     for i, p in enumerate(ps.points):
-        if arc_contains(arc, p[j]):
+        if contains(arc, p[j]):
             cov |= 1 << i
     return cov
 

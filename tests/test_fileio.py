@@ -292,3 +292,13 @@ def test_streamed_certificate_refuses_what_it_cannot_write(tmp_path):
         write_certificate(iter([(0, box), (1, Cube((Arc(F(0), F(1, 3)),)))]), 1, 1, path, 3)
     write_certificate(iter([(0, box), (1, box)]), 1, 1, path, 6)
     assert path.read_text() == "1 1 6 box\nmask=0 shape=0 ; 2\nmask=1 shape=0 ; 2\n"
+
+
+def test_streamed_certificate_refuses_a_denominator_an_arc_does_not_divide(tmp_path):
+    # s * (denom // q) over denom 4 would write the edge 1/3 as 1/4
+    path = tmp_path / "cert.txt"
+    cube = Cube((Arc(F(0), F(1, 3)),))
+    with pytest.raises(ValueError, match="denominator 4 is not a multiple of an arc's 3"):
+        write_certificate(iter([(1, cube)]), 1, 1, path, 4)
+    write_certificate(iter([(1, cube)]), 1, 1, path, 6)
+    assert read_certificate(path)[4] == {1: cube}

@@ -11,7 +11,7 @@ import pytest
 
 import reference_closure
 import torusvc
-from torusvc import shatter, vcsearch
+from torusvc import shatter, torus, vcsearch
 from bruteforce import (
     brute_box_masks,
     brute_cube_masks,
@@ -99,33 +99,37 @@ def contained(ps, shape):
     return sum(1 << i for i, p in enumerate(ps.points) if shape_contains(shape, p))
 
 
-def test_covered_mask_cache_agrees_with_shape_contains():
-    # arcs drawn from a small pool recur across shapes and dimensions, so
-    # most covers are read back from PointSet.covers
+def test_covered_mask_cache_agrees_with_the_trace_tables(monkeypatch):
+    # the prover against the checker: every entry of a _runs or _first_arcs
+    # table is the covered_mask of the arc its (s, e) names, in a box whose
+    # other arcs hold every point, or in a stripe
     rng = random.Random(16)
-    hits = 0
     for ps in seeded_point_sets(16, 20, 6, 3, 6):
-        used, lookups = set(), 0
-        ends = sorted({F(t, q) for q in (ps.denom, 2 * ps.denom, 5) for t in range(q)})
-        pool = [Arc(a, b, closed) for a, b in rng.sample(list(itertools.permutations(ends, 2)), 12)
-                for closed in (True, False)]
-        closed = [a for a in pool if a.closed]
-        for _ in range(30):
-            edge = rng.choice(closed)
-            shapes = [
-                Box(tuple(rng.choice(closed) for _ in range(ps.dim))),
-                Cube(tuple(Arc(s, (s + edge.length) % 1)
-                           for s in (rng.choice(ends) for _ in range(ps.dim)))),
-                Stripe(rng.randrange(ps.dim), rng.choice([a for a in pool if not a.closed]), ps.dim),
-            ]
-            for shape in shapes:
-                assert covered_mask(ps, shape) == contained(ps, shape), (ps, shape)
-                factors = shape_factors(shape, ps.dim)
-                used.update((j, arc.grid, arc.closed) for j, arc in factors)
-                lookups += len(shape.arcs) if isinstance(shape, Box) else 1
+        denom, dim = ps.denom, ps.dim
+        prefix = shatter.prefix_table(ps.cols)
+        tables = [(4 * denom, closed, shatter._runs(denom, prefix)) for closed in (True, False)]
+        for _ in range(3):
+            g = denom * rng.choice((2, 4, 6))
+            width, closed = rng.randrange(1, g), rng.random() < 0.5
+            tables.append((g, closed, shatter._first_arcs(denom, prefix, g, width, closed)))
+        whole = Arc(F(0), F(2 * denom - 1, 2 * denom))  # holds every multiple of 1/D
+        shapes, used = [], set()
+        for g, closed, per_dim in tables:
+            for j, table in enumerate(per_dim):
+                for trace, (s, e) in table.items():
+                    arc = Arc(F(s, g), F(e, g), closed)
+                    if closed:
+                        shape = Box(tuple(arc if k == j else whole for k in range(dim)))
+                    else:
+                        shape = Stripe(j, arc, dim)
+                    assert covered_mask(ps, shape) == trace, (ps, g, arc)
+                    shapes.append((shape, trace))
+                    used.update((k, a.grid, a.closed) for k, a in shape_factors(shape, dim))
         assert set(ps.covers) == used
-        hits += lookups - len(used)
-    assert hits > lookups / 2
+        # a second pass reads every cover back: it never calls arc_contains
+        monkeypatch.setattr(torus, "arc_contains", None)
+        assert [covered_mask(ps, shape) for shape, _ in shapes] == [trace for _, trace in shapes]
+        monkeypatch.undo()
 
 
 def test_covered_mask_cache_keys_the_dimension_and_the_point_set():
@@ -143,6 +147,28 @@ def test_covered_mask_cache_keys_the_dimension_and_the_point_set():
     assert covered_mask(other, Box((Arc(F(0), F(1, 2)), arc))) == 0b10
     assert len(ps.covers) == 5 and len(other.covers) == 3
     assert other == PointSet(2, 4, other.points)  # the covers take no part in equality
+
+
+def grid_points(denom, rows):
+    return PointSet(len(rows[0]), denom, tuple(tuple(F(t, denom) for t in row) for row in rows))
+
+
+def test_ten_points_in_t3_shattered_by_boxes():
+    # a set found by hill climbing; VC(boxes, T^3) >= 10
+    ps = grid_points(10, [(7, 2, 9), (4, 5, 2), (6, 3, 7), (5, 0, 0), (9, 4, 6),
+                          (1, 9, 3), (8, 1, 7), (5, 8, 8), (2, 7, 1), (3, 6, 4)])
+    report = shatter_report(ps, Family(BOXES))
+    assert report.shattered and len(report.witnesses) == 1 << 10
+    assert all(covered_mask(ps, box) == mask for mask, box in report.witnesses.items())
+
+
+def test_five_point_base_in_t4_shattered_by_non_wrapping_stripes():
+    # stripes of length 1/3 whose arcs end by 1 realize each of the 32 masks
+    ps = grid_points(24, [(5, 20, 13, 7), (15, 16, 14, 12), (11, 22, 7, 11), (6, 13, 8, 13),
+                          (8, 15, 17, 9)])
+    for mask in range(1 << 5):
+        stripe = scan_stripe(ps, mask, F(1, 3))
+        assert stripe.arc.start + F(1, 3) <= 1 and covered_mask(ps, stripe) == mask, mask
 
 
 def test_verify_lift_covers_each_distinct_arc_of_a_dimension_once():

@@ -1,9 +1,14 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bruteforce
+import torusvc
+from torusvc import cli, lifting, shatter, torus
 from torusvc.torus import (
     Arc,
     Box,
@@ -87,6 +92,47 @@ def test_wrapping_containment():
     assert arc_contains(arc, F(0))
     assert arc_contains(arc, F(7, 8))
     assert not arc_contains(arc, F(1, 2))
+
+
+def test_arc_contains_agrees_with_the_bruteforce_rule():
+    # quarter-grid arcs, closed and open, wrapping and not, at their ends,
+    # between them, and at points off the grid
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(300):
+        g = 4 * rng.randint(1, 9)
+        t1, t2 = rng.sample(range(g), 2)
+        arc = Arc(F(t1, g), F(t2, g), closed=bool(rng.getrandbits(1)))
+        seen.add((arc.closed, t1 > t2))
+        q = rng.choice((g, 2 * g, 7, 13))
+        for x in (arc.start, arc.end, *(F(t, g) for t in range(g)), *(F(t, q) for t in range(q))):
+            assert arc_contains(arc, x) == bruteforce.contains(arc, x), (arc, x)
+    assert len(seen) == 4
+
+
+def test_arc_contains_refuses_a_float_or_a_point_off_the_circle():
+    arc = Arc(F(1, 4), F(3, 4))
+    with pytest.raises(ValueError, match="0.5 is not a Fraction or an int"):
+        arc_contains(arc, 0.5)
+    with pytest.raises(ValueError, match="outside"):
+        arc_contains(arc, F(5, 4))
+
+
+def test_torus_imports_nothing_from_the_package():
+    # torus is the checker: it must share no code with the provers
+    tree = ast.parse(Path(torus.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported and not {name for name in imported if name.startswith(("torusvc", "."))}
+
+
+def test_every_check_binds_the_one_covered_mask():
+    for module in (shatter, lifting, cli, torusvc):
+        assert module.covered_mask is torus.covered_mask, module
 
 
 def test_complement_partition():
