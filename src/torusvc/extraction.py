@@ -84,6 +84,24 @@ def superdiagonal_matrix(c: int) -> SymbolMatrix:
     return SymbolMatrix(rows, 2)
 
 
+def shifted_staircase(d: int) -> SymbolMatrix:
+    """The (d-2) x d matrix M[i][j] = min(max(j - i, 0), 2), which has the
+    3-extraction property with the ceiling d - k + 1 of rows.
+
+    Row i's supports are [0, i], {i+1} and [i+2, d).  Proof, by Hall: for a
+    word and rows U, let a be U's last row choosing 0 (-1 if none) and b its
+    first choosing 2 (d - 2 if none).  If a > b, N(U) is every column.
+    Else the rows choosing 0, or 1 into [0, a], have index <= a: at most
+    a + 1, the size of [0, a].  Those choosing 2, or 1 into [b+2, d), have
+    index >= b: at most d - 2 - b, the size of [b+2, d).  The rest choose 1
+    and land on distinct columns in between.
+    """
+    if d < 3:
+        raise ValueError("d must be at least 3")
+    return SymbolMatrix(tuple(
+        tuple(min(max(j - i, 0), 2) for j in range(d)) for i in range(d - 2)), 3)
+
+
 def validate_failure_witness(matrix: SymbolMatrix, witness) -> bool:
     """Independent re-check of a (U, V, symbols) failure witness.
 
@@ -173,14 +191,23 @@ def _check_exhaustive(matrix: SymbolMatrix) -> ExtractionVerdict:
     columns: the Gallai-Edmonds deficient set D and N(D), which no choice
     of maximum matching moves (Dulmage and Mendelsohn, Canad. J. Math. 10
     (1958) 517-534).
+
+    Lemma (settled states).  A subtree entered at row r with columns
+    `used` that holds no failing word, and whose augmenting paths visited
+    no column in `used` (touched_columns returns the ones they visited),
+    never read a prefix row: it is a function of (r, used), so no prefix
+    matched onto `used` has a failing word below it.  settled[r] keeps such
+    `used`; skipping them keeps the first failure, its matching and witness.
     """
     c, d = matrix.n_rows, matrix.n_cols
     supports = [[matrix.support(i, s) for s in range(matrix.k)] for i in range(c)]
     masks = [[sum(1 << j for j in support) for support in row] for row in supports]
     word = [0] * c
     adjacency = [None] * c
+    settled, failure = [set() for _ in range(c)], []
 
-    def first_failing_row(r, match_right, used):
+    def touched_columns(r, match_right, used):
+        touched = 0
         for s, mask in enumerate(masks[r]):
             free = mask & ~used
             if free and r + 1 == c:
@@ -189,25 +216,34 @@ def _check_exhaustive(matrix: SymbolMatrix) -> ExtractionVerdict:
             adjacency[r] = supports[r][s]
             if free:
                 low = free & -free
+                nxt = used | low
+                if nxt in settled[r + 1]:
+                    continue
                 j = low.bit_length() - 1
                 match_right[j] = r
-                failed = first_failing_row(r + 1, match_right, used | low)
+                below = touched_columns(r + 1, match_right, nxt)
                 match_right[j] = None
             else:
-                extended = match_right[:]
-                visited = set()
+                extended, visited = match_right[:], set()
                 if not augment(adjacency, r, extended, visited):
-                    return r, {r, *(extended[j] for j in visited)}, visited
-                end = next(j for j in visited if match_right[j] is None)
-                failed = r + 1 < c and first_failing_row(r + 1, extended, used | 1 << end)
-            if failed:
-                return failed
-        return None
+                    failure.append((r, {r, *(extended[j] for j in visited)}, visited))
+                    return None
+                seen = sum(1 << j for j in visited)
+                touched |= seen
+                nxt = used | seen
+                if r + 1 == c or nxt in settled[r + 1]:
+                    continue
+                below = touched_columns(r + 1, extended, nxt)
+            if below is None:
+                return None
+            if not below & nxt:
+                settled[r + 1].add(nxt)
+            touched |= below
+        return touched
 
-    failed = first_failing_row(0, [None] * d, 0)
-    if failed is None:
+    if touched_columns(0, [None] * d, 0) is not None:
         return ExtractionVerdict(True)
-    r, rows, cols = failed
+    r, rows, cols = failure[0]
     word = tuple(word[: r + 1]) + (0,) * (c - r - 1)
     rows = tuple(sorted(rows))
     return ExtractionVerdict(False, word, (rows, tuple(sorted(cols)), {u: word[u] for u in rows}))

@@ -149,18 +149,13 @@ def _points(key: int, n: int, d: int) -> tuple:
     return tuple(zip(*[iter(key.to_bytes(n * d, "big"))] * d))
 
 
-def _dense(col) -> tuple:
-    """(the dense ranks of a column's levels, the number of levels)."""
-    rank = {v: r for r, v in enumerate(sorted(set(col)))}
-    return [rank[v] for v in col], len(rank)
-
-
 def _images(levels) -> set:
     """The keys (see _key) of the anchored images of a configuration: its
     dense-ranked levels, reflected per dimension, rotated so that one point
     sits at the origin, and its dimensions put in every order."""
     n = len(levels[0])
-    dense = [_dense(col) for col in levels]
+    ranks = [{v: r for r, v in enumerate(sorted(set(col)))} for col in levels]
+    dense = [([rank[v] for v in col], len(rank)) for col, rank in zip(levels, ranks)]
     return {
         _key(cols)
         for p in range(n)
@@ -200,14 +195,21 @@ def _untied(levels) -> bool:
 
 
 def _hereditary(levels, below: set) -> bool:
-    """Whether every one-point deletion of an extension, but the deletion
-    of its last (new) point, has its class in F_(n-1), whose anchored
-    images' keys are below (the heredity lemma): each deletion is
-    dense-ranked and rotated so that its point 0 sits at the origin, and
-    that one anchored image is looked up."""
+    """Whether every one-point deletion of an extension, but that of its
+    last (new) point, has its class in F_(n-1), whose anchored images'
+    keys are below (the heredity lemma): each deletion is dense-ranked and
+    rotated to put its point 0 at the origin, and that image is looked up.
+    Extensions are dense (orbit lemma), so deleting point i lowers the
+    levels above its own, and b, by one exactly when i is alone there."""
     for i in range(len(levels[0]) - 1):
-        dense = [_dense(col[:i] + col[i + 1:]) for col in levels]
-        if _key([[(x - col[0]) % b for x in col] for col, b in dense]) not in below:
+        cols = []
+        for col in levels:
+            v, b = col[i], max(col) + 1
+            if col.count(v) == 1:
+                col, b = [x - (x > v) for x in col], b - 1
+            rest = col[:i] + col[i + 1:]
+            cols.append([(x - rest[0]) % b for x in rest])
+        if _key(cols) not in below:
             return False
     return True
 

@@ -1,11 +1,16 @@
-"""Reference copy of the complete weak-cyclic-order enumeration that ``torusvc.vcsearch`` replaced.
+"""Reference copies of the complete weak-cyclic-order enumeration and of
+the dense-rank heredity test that ``torusvc.vcsearch`` replaced.
 
 Kept verbatim, so that the tests can check the frontiers that
 ``vcsearch.shattered_frontiers`` grows by one-point extensions against every
-weak cyclic order; it imports nothing from ``torusvc``.  Handles d <= 2
-only, and yields level tuples (d tuples of n ints in 0..n-1), the form
-in which ``vcsearch`` holds every configuration.
+weak cyclic order, and its heredity test, which re-ranks a deletion's
+levels incrementally, against dense-ranking each deletion from scratch; it
+imports nothing from ``torusvc``.  The enumeration handles d <= 2 only,
+and yields level tuples (d tuples of n ints in 0..n-1), the form in which
+``vcsearch`` holds every configuration.
 """
+
+import itertools
 
 
 def cyclic_compositions(n: int):
@@ -100,3 +105,31 @@ def enumerate_levels(d: int, n: int):
     for lv1 in dim1_classes:
         for lv2 in _dim2_assignments(n):
             yield (lv1, lv2)
+
+
+def _key(cols) -> int:
+    """The sorted points of the columns cols as one int, one byte per
+    level.  Levels are dense ranks, below n <= ENUM_GUARD_N, so a byte
+    holds each one (at most 256 points).  Every key of one n and d has n·d
+    bytes, so on configurations of one n and d the order of the ints is the
+    lexicographic order of the sorted point tuples."""
+    return int.from_bytes(bytes(itertools.chain.from_iterable(sorted(zip(*cols)))), "big")
+
+
+def _dense(col) -> tuple:
+    """(the dense ranks of a column's levels, the number of levels)."""
+    rank = {v: r for r, v in enumerate(sorted(set(col)))}
+    return [rank[v] for v in col], len(rank)
+
+
+def _hereditary(levels, below: set) -> bool:
+    """Whether every one-point deletion of an extension, but the deletion
+    of its last (new) point, has its class in F_(n-1), whose anchored
+    images' keys are below (the heredity lemma): each deletion is
+    dense-ranked and rotated so that its point 0 sits at the origin, and
+    that one anchored image is looked up."""
+    for i in range(len(levels[0]) - 1):
+        dense = [_dense(col[:i] + col[i + 1:]) for col in levels]
+        if _key([[(x - col[0]) % b for x in col] for col, b in dense]) not in below:
+            return False
+    return True

@@ -14,6 +14,7 @@ from torusvc.extraction import (
     failure_probability_bound,
     random_balanced_matrix,
     sample_extraction_matrix,
+    shifted_staircase,
     superdiagonal_matrix,
     validate_failure_witness,
     verify_ext_req,
@@ -134,6 +135,16 @@ def test_witness_search_decides_the_staircase_at_d_64():
     assert time.perf_counter() - start < 0.1
 
 
+def word_by_word_checked(m):
+    """The exhaustive verdict, once the word-by-word reference gives the
+    same first word and the same witness."""
+    got = check_extraction(m, "exhaustive")
+    want = reference_lift._check_exhaustive(m)
+    assert (got.holds, got.counterexample_word, got.failure_witness) == (
+        want.holds, want.counterexample_word, want.failure_witness), m
+    return got
+
+
 def test_exhaustive_checker_matches_word_by_word_reference():
     # the prefix DFS must name the same first word and the same witness as
     # matching every word from scratch, on holding and failing matrices
@@ -145,10 +156,7 @@ def test_exhaustive_checker_matches_word_by_word_reference():
         k = rng.randint(1, 4)
         d = rng.randint(c, c + 2 * k)
         m = SymbolMatrix(tuple(tuple(rng.randrange(k) for _ in range(d)) for _ in range(c)), k)
-        got = check_extraction(m, "exhaustive")
-        want = reference_lift._check_exhaustive(m)
-        assert (got.holds, got.counterexample_word, got.failure_witness) == (
-            want.holds, want.counterexample_word, want.failure_witness)
+        got = word_by_word_checked(m)
         if got.holds:
             holds += 1
         else:
@@ -157,6 +165,55 @@ def test_exhaustive_checker_matches_word_by_word_reference():
     # in each of the six rows
     assert 100 < holds < 500
     assert set(range(6)) <= failed_at
+    # interval matrices, whose subtrees the walk settles most often: holding
+    # ones, and failing ones whose first failure lies past settled subtrees
+    holding = [shifted_staircase(d) for d in range(3, 10)]
+    holding += [superdiagonal_matrix(c) for c in range(1, 11)]
+    # the k = 4 staircase (row i choosing 2 and row i + 1 choosing 1 both
+    # need column i + 2), and the k = 3 one with a row repeated
+    failing = [SymbolMatrix(tuple(tuple(min(max(j - i, 0), 3) for j in range(d))
+                                  for i in range(d - 3)), 4) for d in range(5, 10)]
+    for d in range(3, 9):
+        rows = shifted_staircase(d).rows
+        failing += [SymbolMatrix(rows + (rows[i],), 3) for i in range(d - 2)]
+    for m in holding + failing:
+        got = word_by_word_checked(m)
+        assert got.holds == (m in holding)
+    # and random matrices with few spare columns, where augmenting paths
+    # often leave a subtree's columns: a settled state that read a prefix
+    # row, or that hid what its subtree read, changes some of these answers
+    rng = random.Random(28)
+    verdicts = []
+    for _ in range(150):
+        c = rng.randint(5, 7)
+        k = rng.randint(2, 3)
+        d = rng.randint(c, c + 2)
+        m = SymbolMatrix(tuple(tuple(rng.randrange(k) for _ in range(d)) for _ in range(c)), k)
+        got = word_by_word_checked(m)
+        verdicts.append(got.holds)
+    assert 20 < sum(verdicts) < 130
+
+
+def test_shifted_staircase_is_the_k3_interval_matrix():
+    m = shifted_staircase(6)
+    assert (m.n_rows, m.n_cols, m.k) == (4, 6, 3)
+    for i in range(4):
+        assert (m.support(i, 0), m.support(i, 1), m.support(i, 2)) == (
+            list(range(i + 1)), [i + 1], list(range(i + 2, 6)))
+    assert check_extraction(m, "witness").holds
+    for d in (-1, 0, 1, 2):
+        with pytest.raises(ValueError, match="^d must be at least 3$"):
+            shifted_staircase(d)
+
+
+@pytest.mark.parametrize("matrix, seconds", [(shifted_staircase(14), 0.25),
+                                             (superdiagonal_matrix(18), 0.05)],
+                         ids=["staircase_d14", "superdiagonal_c18"])
+def test_exhaustive_walk_settles_interval_matrices_fast(matrix, seconds):
+    # 3^12 = 531,441 and 2^18 = 262,144 words
+    start = time.perf_counter()
+    assert check_extraction(matrix, "exhaustive").holds
+    assert time.perf_counter() - start < seconds
 
 
 def test_column_monotonicity():

@@ -15,6 +15,7 @@ from torusvc import shatter, torus, vcsearch
 from bruteforce import (
     brute_box_masks,
     brute_cube_masks,
+    contains,
     fine_growth,
     fine_masks,
     random_point_set,
@@ -65,9 +66,11 @@ def test_four_equally_spaced_points_boxes():
     assert realizable_by_box(ps, 0b1010) is None
 
 
-def test_covered_mask_agrees_with_shape_contains():
+def test_covered_mask_agrees_with_bruteforce_containment():
     # endpoints on and off the point grid, closed and open, plain and wrapping;
-    # starts, ends and cube edges on unrelated denominators
+    # starts, ends and cube edges on unrelated denominators.  The expected
+    # mask comes from bruteforce.contains on every arc of a box or a cube and
+    # on a stripe's anchor arc, not from torus.arc_contains
     rng = random.Random(5)
     for ps in seeded_point_sets(37, 30, 5, 3, 8):
         def coord():
@@ -89,7 +92,10 @@ def test_covered_mask_agrees_with_shape_contains():
                 Stripe(rng.randrange(ps.dim), arc(False), ps.dim),
             ]
             for shape in shapes:
-                expected = sum(1 << i for i, p in enumerate(ps.points) if shape_contains(shape, p))
+                factors = ([(shape.anchor_dim, shape.arc)] if isinstance(shape, Stripe)
+                           else list(enumerate(shape.arcs)))
+                expected = sum(1 << i for i, p in enumerate(ps.points)
+                               if all(contains(arc, p[j]) for j, arc in factors))
                 assert covered_mask(ps, shape) == expected, (ps, shape)
     with pytest.raises(ValueError):
         covered_mask(equally_spaced(3), Box((Arc(F(0), F(1, 2)), Arc(F(0), F(1, 2)))))
@@ -167,6 +173,45 @@ def test_five_point_base_in_t4_shattered_by_non_wrapping_stripes():
     ps = grid_points(24, [(5, 20, 13, 7), (15, 16, 14, 12), (11, 22, 7, 11), (6, 13, 8, 13),
                           (8, 15, 17, 9)])
     for mask in range(1 << 5):
+        stripe = scan_stripe(ps, mask, F(1, 3))
+        assert stripe.arc.start + F(1, 3) <= 1 and covered_mask(ps, stripe) == mask, mask
+
+
+# sets found by a seeded hill climb, shattered by stripes of length 1/2:
+# d -> (denominator, points)
+HALF_STRIPE_WITNESSES = {
+    2: (8, [(6, 5), (1, 4), (3, 6), (4, 3)]),
+    3: (8, [(2, 3, 0), (0, 1, 6), (3, 5, 5), (1, 3, 4)]),
+    4: (8, [(6, 2, 1, 6), (0, 7, 3, 7), (5, 6, 3, 4), (4, 1, 3, 1), (7, 4, 4, 1)]),
+    5: (8, [(4, 6, 0, 6, 1), (6, 1, 4, 6, 3), (3, 3, 6, 0, 4), (5, 4, 1, 1, 6), (7, 4, 5, 1, 1)]),
+    6: (12, [(2, 2, 0, 4, 9, 8), (4, 11, 4, 2, 6, 4), (7, 3, 3, 3, 1, 0), (6, 0, 11, 7, 11, 3),
+             (1, 1, 1, 11, 4, 1), (9, 9, 2, 6, 8, 11)]),
+    7: (8, [(3, 7, 4, 2, 6, 5, 7), (4, 3, 3, 7, 4, 6, 5), (5, 6, 5, 5, 3, 1, 7),
+            (6, 4, 1, 4, 5, 4, 6), (3, 4, 6, 0, 4, 3, 1), (2, 1, 2, 6, 5, 2, 0)]),
+    8: (8, [(0, 7, 7, 3, 7, 7, 5, 6), (6, 2, 1, 3, 1, 6, 4, 2), (6, 1, 0, 6, 6, 1, 6, 0),
+            (4, 6, 0, 0, 3, 4, 5, 7), (2, 0, 1, 4, 5, 5, 2, 1), (7, 5, 6, 5, 0, 3, 3, 0)]),
+}
+
+
+@pytest.mark.parametrize("d", sorted(HALF_STRIPE_WITNESSES))
+def test_half_length_stripes_shatter_the_count_lemma_value(d):
+    # the count lemma (bounds.stripe_upper_bound_n) caps a set shattered by
+    # stripes of one length in T^d at the largest n with 2^n <= 2nd (2^n / n
+    # grows), and each witness has that many points: VC(stripes_1/2, T^d) = n
+    ps = grid_points(*HALF_STRIPE_WITNESSES[d])
+    n = len(ps)
+    assert ps.dim == d and 2**n <= 2 * n * d and 2 ** (n + 1) > 2 * (n + 1) * d
+    report = shatter_report(ps, Family(STRIPES_FIXED, F(1, 2)))
+    assert report.shattered and len(report.witnesses) == 1 << n
+    assert all(covered_mask(ps, stripe) == mask for mask, stripe in report.witnesses.items())
+
+
+def test_six_point_base_in_t8_shattered_by_non_wrapping_stripes():
+    # stripes of length 1/3 whose arcs end by 1 realize each of the 64 masks
+    ps = grid_points(24, [(5, 12, 8, 7, 15, 11, 19, 13), (13, 16, 5, 8, 9, 8, 10, 11),
+                          (19, 10, 6, 13, 5, 10, 20, 7), (12, 8, 3, 11, 11, 17, 21, 3),
+                          (10, 14, 2, 12, 16, 20, 14, 9), (15, 16, 10, 8, 18, 18, 18, 4)])
+    for mask in range(1 << 6):
         stripe = scan_stripe(ps, mask, F(1, 3))
         assert stripe.arc.start + F(1, 3) <= 1 and covered_mask(ps, stripe) == mask, mask
 

@@ -301,6 +301,24 @@ def test_heredity_keeps_the_unpruned_frontiers(kind, n_max):
     assert shattered_frontiers(2, family, n_max) == _reference_frontiers(2, family, n_max)
 
 
+@pytest.mark.parametrize("d, kind, n_max", [(2, BOXES, 7), (2, STRIPES_ANY, 6), (1, BOXES, 4)],
+                         ids=["boxes_d2", "stripes_any_d2", "boxes_d1"])
+def test_incremental_heredity_matches_the_dense_rank_reference(monkeypatch, d, kind, n_max):
+    # each deletion re-ranked from the extension's dense levels gives the
+    # same decision as dense-ranking the deletion from scratch
+    hereditary, candidates = vcsearch._hereditary, []
+
+    def compared(levels, below):
+        verdict = hereditary(levels, below)
+        assert verdict == reference_enumeration._hereditary(levels, below), levels
+        candidates.append(levels)
+        return verdict
+
+    monkeypatch.setattr(vcsearch, "_hereditary", compared)
+    shattered_frontiers(d, Family(kind), n_max)
+    assert candidates
+
+
 def test_orbit_marking_keeps_the_per_candidate_frontiers_in_space(monkeypatch):
     monkeypatch.setattr(vcsearch, "ENUM_GUARD_D", 3)
     frontiers = shattered_frontiers(3, Family(BOXES), 4)
