@@ -23,11 +23,12 @@ g(b) > 0.  For refined g'(n) = 1 - 2d/(n ln 2) >= 0 once n >= 2d/ln 2, so g
 is increasing from n0 = ceil(2d 2^K / LN2_LO) >= 2d/ln 2 on, where
 K = LN2_BITS and LN2_LO / 2^K is a lower bound on ln 2.  So from the scan's
 start the predicate g(n) > 0 runs False...False True...True, and its first
-True is the answer.  Each scanner first estimates it (``_guess`` for
-trivial and refined, bit lengths for stripe), and ``_smallest_persistent``
-gallops from the guess and bisects in O(log |answer - guess|) probes.  The
-guess decides nothing: the answer is the probe that holds next to one that
-fails, so a wrong guess only costs probes.
+True is the answer.  Each scanner first estimates it (``_guess``'s Newton
+steps on the proved slope for trivial and refined, bit lengths for stripe),
+and ``_smallest_persistent`` gallops from the guess and bisects in
+O(log |answer - guess|) probes.  The guess decides nothing: the answer is
+the probe that holds next to one that fails, so a wrong guess only costs
+probes.
 
 Decider.  ``_exceeds`` decides g > 0 on an integer bracket of 2^P g, the
 sum of w times ``_log2_bracket``'s bracket [lo, lo + 2) on 2^P log2 x,
@@ -211,29 +212,48 @@ def _smallest_persistent(exceeds, start: int = 1, guess=None) -> int:
 
 
 def _guess(d: int, terms, start: int, known=None) -> int:
-    """An estimate of a box scanner's crossing, from its terms(n) and ``known``
-    as in ``_exceeds``: the integer fixed point of n <- max(start, n - g(n))
-    with g rounded down, that is n <- 2d log2 (n+1) for trivial and
-    n <- 2d log2 n + d - log2 (2d-1)!! for refined.
+    """An estimate of a box scanner's crossing c, from its terms(n) and
+    ``known`` as in ``_exceeds``, by Newton steps n <- max(start, n - g(n)/s)
+    on 2^p g and 2^p s, each rounded down, with p = bit_length(d) + 8.  g is
+    summed from the brackets' lower ends, off by under 1/32.  Both scanners'
+    terms are (2, n - d or n) and the growing term (x, w), (n + 1, -2d) for
+    trivial and (n, -2d) for refined, so g' = 1 + w / (x ln 2), from LN2_LO.
 
-    g is summed from the brackets' lower ends at p = bit_length(d) + 8, so
-    it is off by a few multiples of d 2^-p, under 1/32.  The iteration
-    starts at 2d (L + 2 bit_length(L) + 2) with L = bit_length(d), where
-    g > 0 and g' > 0.  As g is convex with g' < 1, a step n - m with
-    m <= g(n) keeps g >= g(n) (1 - g'(n)) > 0, so the iterates fall towards
-    the crossing and stop once g < 1.  The result decides nothing: the
-    scanner probes the crossing's two sides through ``_exceeds``.
+    Lemma.  From the start 2d (L + 1 + bit_length(L + 1)) >= 6d on, with
+    L = bit_length(d), every iterate lies past g's minimum at x = 2d/ln 2,
+    where g is convex and increasing and g' is concave.  The tangent at n
+    lies under g, so the first step, with s = g'(n), lands at or past c from
+    either side.  The later steps, from n > c, take s = g'(m) at the midpoint
+    m of n and that Newton target, so m >= (n + c) / 2 and s is at least the
+    chord slope (g(n) - g(c)) / (n - c): they land at or past c too.  So the
+    iterates fall towards c, the error about cubing each step, where plain
+    Newton steps square it (5 evaluations of g at d = 2^200, not 4).  They
+    stop once a step no longer decreases n, or once a step of t to n has
+    d t^2 < n^2, so that the next plain step, g'' t^2 / 2g', would be a few
+    units at most.  Rounding only moves where they stop, so it costs probes,
+    never a verdict: the scanner probes the crossing's two sides through
+    ``_exceeds``.
     """
     bits = d.bit_length()
     p = bits + 8
     offset = known[0](p)[0] if known else 0
-    n = max(start, 2 * d * (bits + 2 * bits.bit_length() + 2))
-    while True:
-        gap = offset + sum(w * _log2_bracket(x, p)[0] for x, w in terms(n))
-        step = max(start, n - (gap >> p))
-        if step >= n:
-            return n
-        n = step
+
+    def slope(x, w):
+        return (1 << p) + (w << (p + LN2_BITS)) // (x * LN2_LO)
+
+    def step(n, midpoint):
+        parts = terms(n)  # one evaluation of g
+        x, w = parts[-1]
+        gap = offset + sum(v * _log2_bracket(y, p)[0] for y, v in parts)
+        target = max(start, n - gap // slope(x, w))
+        if midpoint:  # x - n is the same at every n
+            target = max(start, n - gap // slope(x + (target - n) // 2, w))
+        return target
+
+    n = step(max(start, 2 * d * (bits + 1 + (bits + 1).bit_length())), False)
+    while (m := step(n, True)) < n and d * (n - m) ** 2 >= m * m:
+        n = m
+    return min(n, m)
 
 
 def stripe_upper_bound_n(d: int) -> int:
@@ -270,14 +290,13 @@ def _refined_constant(d: int, p: int):
     the Stirling-Robbins identity in the module docstring.
 
     Robbins' bounds put r_d - r_2d strictly between (12d-1) / (24d(12d+1))
-    and (12d+1) / (12d(24d+1)).
+    and (12d+1) / (12d(24d+1)), each kept as a numerator over a denominator.
     """
-    c_lo = d + Fraction(12 * d - 1, 24 * d * (12 * d + 1))
-    c_hi = d + Fraction(12 * d + 1, 12 * d * (24 * d + 1))
+    den_lo, den_hi = 24 * d * (12 * d + 1), 12 * d * (24 * d + 1)
     scale = 1 << (p + LN2_BITS)
-    # floor and ceiling of 2^p c / ln 2 over the ln 2 bracket
-    div_lo = (scale * c_lo.numerator) // (c_lo.denominator * LN2_HI)
-    div_hi = -((-scale * c_hi.numerator) // (c_hi.denominator * LN2_LO))
+    # floor and ceiling of 2^p c / ln 2, c = d + r_d - r_2d, over the ln 2 bracket
+    div_lo = (scale * (d * den_lo + 12 * d - 1)) // (den_lo * LN2_HI)
+    div_hi = -((-scale * (d * den_hi + 12 * d + 1)) // (den_hi * LN2_LO))
     log_lo, log_hi = _log2_bracket(d, p)
     rest = (d << p) + (1 << (p - 1))
     return rest + d * log_lo - div_hi, rest + d * log_hi - div_lo
@@ -354,9 +373,9 @@ def choose_parameters(d: int) -> BoundParams:
 
 def _ext_req_holds(q: Fraction, m: int, k: int) -> bool:
     """(q - q/k)^(qm) > q m^2 k^3 for an integral qm; k = 1 makes the left side 0."""
-    qm, base = int(q * m), q - q / k
-    terms = ((base.numerator, qm), (base.denominator, -qm), (q.numerator, -1),
-             (q.denominator, 1), (m, -2), (k, -3))
+    a, b, qm = q.numerator, q.denominator, int(q * m)
+    # q - q/k = a (k-1) / (b k)
+    terms = ((a * (k - 1), qm), (b * k, -qm), (b, 1), (a * m * m * k**3, -1))
     return k > 1 and _exceeds(terms, qm.bit_length())
 
 

@@ -297,7 +297,7 @@ def test_scanners_ignore_a_wrong_guess(answers, monkeypatch, miss):
 
 def test_scanners_probe_budget(monkeypatch):
     # the guesses put each search within a few probes of its crossing: over
-    # the benchmark's d list the three scanners make at most 400 probes
+    # the benchmark's d list the three scanners make at most 150 probes
     # (searching up from each scan's start takes 1,082)
     probes = []
     search = bounds._smallest_persistent
@@ -309,7 +309,7 @@ def test_scanners_probe_budget(monkeypatch):
     for d in [1 << e for e in range(17)] + [1000]:
         for scan, _, _ in SCANNERS.values():
             scan(d)
-    assert len(probes) <= 400
+    assert len(probes) <= 150
 
 
 # (stripe, trivial, refined) answers at large d, as the search without guesses gives them
@@ -319,6 +319,26 @@ LARGE_ANSWERS = {
     10**9 + 7: (41, 72140167968, 42133864887),
     3**20: (43, 264612705425, 153645407059),
 }
+
+
+def test_guesses_land_near_the_crossing_in_four_evaluations(monkeypatch):
+    # _guess's Newton steps evaluate g once per terms(n) call; at most four
+    # evaluations put each box scanner's guess within 2 of its answer
+    guess, seen = bounds._guess, []
+
+    def counted(d, terms, start, known=None):
+        calls = []
+        seen.append((guess(d, lambda n: calls.append(n) or terms(n), start, known), len(calls)))
+        return seen[-1][0]
+
+    monkeypatch.setattr(bounds, "_guess", counted)
+    ds = [1 << e for e in range(17)] + [1000, *sorted(LARGE_ANSWERS), 1 << 64, 1 << 200]
+    for d in ds:
+        for name in ("trivial", "refined"):
+            seen.clear()
+            answer = SCANNERS[name][0](d)
+            [(n, evaluations)] = seen
+            assert evaluations <= 4 and abs(n - answer) <= 2, (name, d, n - answer, evaluations)
 
 
 @pytest.mark.parametrize("d", sorted(LARGE_ANSWERS))
