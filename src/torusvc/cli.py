@@ -12,7 +12,7 @@ import sys
 
 from .bounds import bounds_table
 from .errors import GuardExceeded, VCBracket
-from .extraction import check_extraction, sample_extraction_matrix
+from .extraction import MODES, check_extraction, sample_extraction_matrix
 from .fileio import (
     certificate_lines,
     parse_rat,
@@ -22,7 +22,7 @@ from .fileio import (
     write_matrix,
     write_points,
 )
-from .lifting import cube_witness, lift_points, sample_masks, verify_lift
+from .lifting import LiftInstance, cube_witness, lift_points, sample_masks, verify_lift
 from .shatter import KINDS, STRIPES_FIXED, Family, growth_count, shatter_report
 from .stripes import build_stripe_shattered_set
 from .torus import covered_mask
@@ -62,32 +62,46 @@ def _family_from_args(args) -> Family:
     return Family(args.family)
 
 
+def _lift_from_args(args) -> LiftInstance:
+    return lift_points(read_points(args.points), read_matrix(args.matrix), parse_rat(args.l))
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="torusvc")
     parser.add_argument("--jobs", type=int, default=1, help="worker count (results are identical for any value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("shatter", help="decide whether a family shatters a point set")
+    def command(name, handler, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        return p
+
+    lift_inputs = argparse.ArgumentParser(add_help=False)
+    lift_inputs.add_argument("--points", required=True)
+    lift_inputs.add_argument("--matrix", required=True)
+    lift_inputs.add_argument("--l", required=True)
+
+    p = command("shatter", _cmd_shatter, help="decide whether a family shatters a point set")
     p.add_argument("points")
     p.add_argument("--family", choices=KINDS, required=True)
     p.add_argument("--l", help="stripe length p/q (stripes family only)")
 
-    p = sub.add_parser("growth", help="count realizable subsets")
+    p = command("growth", _cmd_growth, help="count realizable subsets")
     p.add_argument("points")
     p.add_argument("--family", choices=KINDS, required=True)
     p.add_argument("--l")
 
-    p = sub.add_parser("stripes-build", help="build the stripe-shattered construction")
+    p = command("stripes-build", _cmd_stripes_build, help="build the stripe-shattered construction")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", required=True)
     p.add_argument("--ambient-dim", type=int, default=None)
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("extract-check", help="check the k-extraction property")
+    p = command("extract-check", _cmd_extract_check, help="check the k-extraction property")
     p.add_argument("matrix")
-    p.add_argument("--mode", choices=["exhaustive", "witness"], default="witness")
+    p.add_argument("--mode", choices=MODES, default="witness")
 
-    p = sub.add_parser("extract-sample", help="sample a matrix with the property")
+    p = command("extract-sample", _cmd_extract_sample, help="sample a matrix with the property")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", required=True)
@@ -95,36 +109,31 @@ def build_parser() -> _Parser:
     p.add_argument("--max-trials", type=_count, default=1000)
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("lift", help="lift a point set through a matrix")
-    p.add_argument("--points", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--l", required=True)
+    p = command("lift", _cmd_lift, help="lift a point set through a matrix", parents=[lift_inputs])
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("certify-lift", help="verify the lift and emit a certificate")
-    p.add_argument("--points", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--l", required=True)
+    p = command("certify-lift", _cmd_certify_lift, help="verify the lift and emit a certificate",
+                parents=[lift_inputs])
     p.add_argument("--sample", type=_count, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("verify-cert", help="re-check a certificate offline")
+    p = command("verify-cert", _cmd_verify_cert, help="re-check a certificate offline")
     p.add_argument("points")
     p.add_argument("certificate")
     p.add_argument("--sampled", action="store_true",
                    help="accept a certificate that holds only some of the masks")
 
-    p = sub.add_parser("bounds", help="emit the bound comparison table")
+    p = command("bounds", _cmd_bounds, help="emit the bound comparison table")
     p.add_argument("--d-list", required=True)
 
-    p = sub.add_parser("vc-exact", help="exact VC value by augmenting shattered sets (small d)")
+    p = command("vc-exact", _cmd_vc_exact, help="exact VC value by augmenting shattered sets (small d)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--family", choices=KINDS, default="boxes")
     p.add_argument("--l")
     p.add_argument("--n-max", type=int, default=8)
 
-    p = sub.add_parser("search", help="randomized search for a shattered set")
+    p = command("search", _cmd_search, help="randomized search for a shattered set")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=_count, required=True)
@@ -191,16 +200,14 @@ def _cmd_extract_sample(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    inst = lift_points(
-        read_points(args.points), read_matrix(args.matrix), parse_rat(args.l)
-    )
+    inst = _lift_from_args(args)
     write_points(inst.lifted, args.output)
     print(f"wrote {len(inst.lifted)} lifted points in dimension {inst.lifted.dim}")
     return EXIT_OK
 
 
 def _cmd_certify_lift(args) -> int:
-    inst = lift_points(read_points(args.points), read_matrix(args.matrix), parse_rat(args.l))
+    inst = _lift_from_args(args)
     n = len(inst.lifted)
     masks = range(1 << n) if args.sample is None else sample_masks(n, args.sample, args.seed)
     report = verify_lift(inst, masks)
@@ -283,28 +290,13 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "shatter": _cmd_shatter,
-    "growth": _cmd_growth,
-    "stripes-build": _cmd_stripes_build,
-    "extract-check": _cmd_extract_check,
-    "extract-sample": _cmd_extract_sample,
-    "lift": _cmd_lift,
-    "certify-lift": _cmd_certify_lift,
-    "verify-cert": _cmd_verify_cert,
-    "bounds": _cmd_bounds,
-    "vc-exact": _cmd_vc_exact,
-    "search": _cmd_search,
-}
-
-
 _parser = functools.cache(build_parser)
 
 
 def run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except GuardExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -19,6 +19,7 @@ from math import comb, factorial
 from .errors import GuardExceeded, PostconditionError
 from .matching import augment, maximum_matching
 
+MODES = ("exhaustive", "witness")  # the modes of check_extraction
 EXHAUSTIVE_GUARD = 10**7
 # the prefix search and each augmenting path recurse once per row
 EXHAUSTIVE_ROW_GUARD = 200

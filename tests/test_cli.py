@@ -2,18 +2,21 @@ import argparse
 import hashlib
 import inspect
 import io
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import reference_certificate
 from torusvc import cli as cli_module
-from torusvc import extraction, vcsearch
+from torusvc import bounds, extraction, vcsearch
 from torusvc.cli import build_parser, run
 from torusvc.extraction import SymbolMatrix, superdiagonal_matrix
 from torusvc.fileio import read_matrix, read_points, write_matrix, write_points
@@ -22,6 +25,7 @@ from torusvc.shatter import KINDS, Family
 from torusvc.torus import PointSet
 
 F = Fraction
+SRC = Path(cli_module.__file__).resolve().parents[1]
 
 
 def cli(*argv):
@@ -51,6 +55,12 @@ def write_lift_inputs(tmp_path):
     return str(tmp_path / "base.txt"), str(tmp_path / "matrix.txt")
 
 
+def subcommands(parser):
+    """The subcommand parsers of a torusvc parser, by name."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
 def test_usage_errors():
     code, _, err = cli("shatter")
     assert code == 2
@@ -60,6 +70,23 @@ def test_usage_errors():
     assert code == 2  # missing file
     code, _, err = cli("bounds", "--d-list", "2,x")
     assert code == 2
+
+
+def test_console_script_entry_exits_with_the_run_code(tmp_path):
+    # main, run as a program, as the installed torusvc script runs it
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-m", "torusvc.cli"]
+    done = subprocess.run([*argv, "bounds", "--d-list", "1,2"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, (
+        "d\tstripe_ub\ttrivial_ub\trefined_ub\tlower_bound\n"
+        "1\t5\t5\t6\tna\n"
+        "2\t7\t16\t16\tna\n"))
+    missing = str(tmp_path / "missing.txt")
+    done = subprocess.run([*argv, "shatter", missing, "--family", "boxes"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: [Errno 2] No such file or directory: {missing!r}\n")
 
 
 def test_parser_is_built_once_and_parses_like_a_fresh_one(tmp_path):
@@ -241,18 +268,28 @@ def test_certify_lift_refusals(tmp_path):
 
 def test_every_cli_option_is_read():
     parser = cli_module.build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    # --jobs is the documented no-op, kept for interface compatibility
-    unread = [a.dest for a in parser._actions
-              if a.dest not in ("help", "jobs") and a is not commands]
-    for name, sub in commands.choices.items():
-        source = inspect.getsource(cli_module._COMMANDS[name])
-        if "_family_from_args(args)" in source:
-            source += inspect.getsource(cli_module._family_from_args)
+    # --jobs is the documented no-op, kept for interface compatibility; the
+    # subcommand's own dest only names it in usage errors, its handler is read
+    unread = [a.dest for a in parser._actions if a.dest not in ("help", "jobs", "command")]
+    for name, sub in subcommands(parser).items():
+        source = inspect.getsource(sub.get_default("handler"))
+        for helper in (cli_module._family_from_args, cli_module._lift_from_args):
+            if f"{helper.__name__}(args)" in source:
+                source += inspect.getsource(helper)
         unread += [f"{name} {a.dest}" for a in sub._actions
                    if a.dest != "help" and not re.search(rf"\bargs\.{a.dest}\b", source)]
-    assert "args.command" in inspect.getsource(cli_module.run)
+    assert "args.handler(args)" in inspect.getsource(cli_module.run)
     assert unread == []
+
+
+def test_every_subcommand_has_its_handler():
+    handlers = {name: sub.get_default("handler")
+                for name, sub in subcommands(build_parser()).items()}
+    assert handlers == {name: getattr(cli_module, "_cmd_" + name.replace("-", "_"))
+                        for name in handlers}
+    # and no handler is left without its subcommand
+    assert sorted(f.__name__ for f in handlers.values()) == sorted(
+        name for name in vars(cli_module) if name.startswith("_cmd_"))
 
 
 def test_tampered_certificate_rejected(tmp_path):
@@ -318,14 +355,25 @@ def test_vc_exact_prints_no_value_below_the_superfamily_value():
 
 
 def test_family_choices_are_the_family_kinds():
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
+    parsers = subcommands(build_parser())
     for command in ("shatter", "growth", "vc-exact"):
-        family = next(a for a in subparsers.choices[command]._actions if a.dest == "family")
+        family = next(a for a in parsers[command]._actions if a.dest == "family")
         assert family.choices == KINDS
     assert KINDS == ("boxes", "cubes", "stripes", "stripes-any")
     for kind in KINDS:
         assert Family(kind, F(1, 2) if kind == "stripes" else None).kind == kind
+
+
+def test_mode_choices_are_the_checker_modes():
+    mode = next(a for a in subcommands(build_parser())["extract-check"]._actions
+                if a.dest == "mode")
+    assert mode.choices == extraction.MODES == ("exhaustive", "witness")
+    two_rows = SymbolMatrix(((0, 1), (0, 1)), 2)  # the word 00 needs column 0 twice
+    for name in extraction.MODES:
+        assert extraction.check_extraction(superdiagonal_matrix(3), name).holds
+        assert not extraction.check_extraction(two_rows, name).holds
+    with pytest.raises(ValueError, match="unknown mode 'other'"):
+        extraction.check_extraction(superdiagonal_matrix(3), "other")
 
 
 def test_stripes_length_outside_the_unit_interval_is_a_usage_error(tmp_path):
@@ -367,6 +415,17 @@ def test_bounds_reasons_go_to_stderr():
         "d=1: d too small: it must be at least 2\n"
         "d=2: d too small for f=1: k would be 0\n"
         "d=65536: parameter condition fails\n"
+    )
+
+
+def test_bounds_reports_a_failing_extraction_requirement(monkeypatch):
+    # no sampled d that meets the parameter condition fails the requirement, so force it
+    monkeypatch.setattr(bounds, "_ext_req_holds", lambda q, m, k: False)
+    assert cli("bounds", "--d-list", "1048576") == (
+        0,
+        "d\tstripe_ub\ttrivial_ub\trefined_ub\tlower_bound\n"
+        "1048576\t29\t53860581\t32911522\tna\n",
+        "d=1048576: extraction requirement fails\n",
     )
 
 
@@ -670,7 +729,10 @@ NEGATIVE_COUNTS = {
 @pytest.mark.parametrize("option", sorted(NEGATIVE_COUNTS))
 def test_negative_count_is_a_usage_error(monkeypatch, option):
     # refused by the parser, before any command runs or reads a file
-    monkeypatch.setattr(cli_module, "_COMMANDS", {})
+    parser = build_parser()
+    for sub in subcommands(parser).values():
+        sub.set_defaults(handler=lambda args: pytest.fail("a handler ran"))
+    monkeypatch.setattr(cli_module, "_parser", lambda: parser)
     argv = NEGATIVE_COUNTS[option]
     code, out, err = cli(*argv, option, "-1")
     assert (code, out) == (2, "")
