@@ -41,6 +41,25 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+class _Subcommand:
+    """A subcommand's entry: its parser is declared on first use, so a run
+    builds only the subparser it parses; other attributes go to that parser."""
+
+    def __init__(self, handler, arguments, **kwargs):
+        self.handler, self.arguments, self.kwargs = handler, arguments, kwargs
+
+    @functools.cached_property
+    def parser(self) -> _Parser:
+        parser = _Parser(**self.kwargs)
+        for flags, options in self.arguments:
+            parser.add_argument(*flags, **options)
+        parser.set_defaults(handler=self.handler)
+        return parser
+
+    def __getattr__(self, name):
+        return getattr(self.parser, name)
+
+
 def _count(text: str) -> int:
     """argparse type of the options that count trials, steps or masks."""
     try:
@@ -69,76 +88,47 @@ def _lift_from_args(args) -> LiftInstance:
 def build_parser() -> _Parser:
     parser = _Parser(prog="torusvc")
     parser.add_argument("--jobs", type=int, default=1, help="worker count (results are identical for any value)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
-    def command(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        return p
+    def command(name, handler, help, *arguments):
+        sub.add_parser(name, help=help, handler=handler, arguments=arguments)
 
-    lift_inputs = argparse.ArgumentParser(add_help=False)
-    lift_inputs.add_argument("--points", required=True)
-    lift_inputs.add_argument("--matrix", required=True)
-    lift_inputs.add_argument("--l", required=True)
+    def arg(*flags, **options):
+        return flags, options
 
-    p = command("shatter", _cmd_shatter, help="decide whether a family shatters a point set")
-    p.add_argument("points")
-    p.add_argument("--family", choices=KINDS, required=True)
-    p.add_argument("--l", help="stripe length p/q (stripes family only)")
+    lift_inputs = arg("--points", required=True), arg("--matrix", required=True), arg("--l", required=True)
 
-    p = command("growth", _cmd_growth, help="count realizable subsets")
-    p.add_argument("points")
-    p.add_argument("--family", choices=KINDS, required=True)
-    p.add_argument("--l")
-
-    p = command("stripes-build", _cmd_stripes_build, help="build the stripe-shattered construction")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", required=True)
-    p.add_argument("--ambient-dim", type=int, default=None)
-    p.add_argument("-o", "--output", required=True)
-
-    p = command("extract-check", _cmd_extract_check, help="check the k-extraction property")
-    p.add_argument("matrix")
-    p.add_argument("--mode", choices=MODES, default="witness")
-
-    p = command("extract-sample", _cmd_extract_sample, help="sample a matrix with the property")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-trials", type=_count, default=1000)
-    p.add_argument("-o", "--output", required=True)
-
-    p = command("lift", _cmd_lift, help="lift a point set through a matrix", parents=[lift_inputs])
-    p.add_argument("-o", "--output", required=True)
-
-    p = command("certify-lift", _cmd_certify_lift, help="verify the lift and emit a certificate",
-                parents=[lift_inputs])
-    p.add_argument("--sample", type=_count, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", required=True)
-
-    p = command("verify-cert", _cmd_verify_cert, help="re-check a certificate offline")
-    p.add_argument("points")
-    p.add_argument("certificate")
-    p.add_argument("--sampled", action="store_true",
-                   help="accept a certificate that holds only some of the masks")
-
-    p = command("bounds", _cmd_bounds, help="emit the bound comparison table")
-    p.add_argument("--d-list", required=True)
-
-    p = command("vc-exact", _cmd_vc_exact, help="exact VC value by augmenting shattered sets (small d)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--family", choices=KINDS, default="boxes")
-    p.add_argument("--l")
-    p.add_argument("--n-max", type=int, default=8)
-
-    p = command("search", _cmd_search, help="randomized search for a shattered set")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=_count, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", default=None)
+    command("shatter", _cmd_shatter, "decide whether a family shatters a point set",
+            arg("points"), arg("--family", choices=KINDS, required=True),
+            arg("--l", help="stripe length p/q (stripes family only)"))
+    command("growth", _cmd_growth, "count realizable subsets",
+            arg("points"), arg("--family", choices=KINDS, required=True), arg("--l"))
+    command("stripes-build", _cmd_stripes_build, "build the stripe-shattered construction",
+            arg("--n", type=int, required=True), arg("--l", required=True),
+            arg("--ambient-dim", type=int, default=None), arg("-o", "--output", required=True))
+    command("extract-check", _cmd_extract_check, "check the k-extraction property",
+            arg("matrix"), arg("--mode", choices=MODES, default="witness"))
+    command("extract-sample", _cmd_extract_sample, "sample a matrix with the property",
+            arg("--m", type=int, required=True), arg("--k", type=int, required=True),
+            arg("--q", required=True), arg("--seed", type=int, default=0),
+            arg("--max-trials", type=_count, default=1000), arg("-o", "--output", required=True))
+    command("lift", _cmd_lift, "lift a point set through a matrix",
+            *lift_inputs, arg("-o", "--output", required=True))
+    command("certify-lift", _cmd_certify_lift, "verify the lift and emit a certificate",
+            *lift_inputs, arg("--sample", type=_count, default=None),
+            arg("--seed", type=int, default=0), arg("-o", "--output", required=True))
+    command("verify-cert", _cmd_verify_cert, "re-check a certificate offline",
+            arg("points"), arg("certificate"),
+            arg("--sampled", action="store_true",
+                help="accept a certificate that holds only some of the masks"))
+    command("bounds", _cmd_bounds, "emit the bound comparison table", arg("--d-list", required=True))
+    command("vc-exact", _cmd_vc_exact, "exact VC value by augmenting shattered sets (small d)",
+            arg("--d", type=int, required=True), arg("--family", choices=KINDS, default="boxes"),
+            arg("--l"), arg("--n-max", type=int, default=8))
+    command("search", _cmd_search, "randomized search for a shattered set",
+            arg("--d", type=int, required=True), arg("--n", type=int, required=True),
+            arg("--budget", type=_count, required=True), arg("--seed", type=int, default=0),
+            arg("-o", "--output", default=None))
     return parser
 
 

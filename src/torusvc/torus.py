@@ -168,16 +168,17 @@ class PointSet:
             raise ValueError("dimension must be positive")
         if self.denom < 1:
             raise ValueError("denominator must be positive")
+        denom = self.denom
         cols = [[] for _ in range(self.dim)]
         for p in self.points:
             if len(p) != self.dim:
                 raise ValueError("point dimension mismatch")
             for col, x in zip(cols, p):
                 _check_coord(x)
-                scaled = x * self.denom
-                if scaled.denominator != 1:
-                    raise ValueError(f"coordinate {x} not on the 1/{self.denom} grid")
-                col.append(scaled.numerator)
+                # x is in lowest terms, so it is on the grid iff its denominator divides D
+                if denom % x.denominator:
+                    raise ValueError(f"coordinate {x} not on the 1/{denom} grid")
+                col.append(x.numerator * (denom // x.denominator))
         object.__setattr__(self, "cols", tuple(map(tuple, cols)))
         object.__setattr__(self, "covers", {})
         object.__setattr__(self, "tables", {})

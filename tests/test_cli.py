@@ -104,6 +104,46 @@ def test_parser_is_built_once_and_parses_like_a_fresh_one(tmp_path):
     assert (info.misses, info.hits) == (1, 2 * len(argvs))
 
 
+def built(parser):
+    """The names of the subcommands whose parsers have been declared."""
+    return {name for name, sub in subcommands(parser).items() if "parser" in vars(sub)}
+
+
+def test_only_the_subcommand_run_builds_its_parser(tmp_path):
+    pts = write_demo_points(tmp_path)
+    cli_module._parser.cache_clear()
+    assert built(cli_module._parser()) == set()
+    code, out, err = catching_exit("growth", pts, "--family", "cubes")
+    assert (code, err) == (0, "") and out.strip().isdigit()
+    assert built(cli_module._parser()) == {"growth"}
+    for argv in (("--help",), ("no-such-command",)):
+        cli_module._parser.cache_clear()
+        assert catching_exit(*argv)[0] in (2, ("exit", 0))
+        assert built(cli_module._parser()) == set()
+
+
+# every help screen and usage error: the top level, and each subcommand with
+# --help, with no arguments and with an unknown option
+SCREENS = [("--help",), (), ("nope",), ("--jobs", "x")] + [
+    (name, *rest) for name in ("shatter", "growth", "stripes-build", "extract-check",
+                               "extract-sample", "lift", "certify-lift", "verify-cert",
+                               "bounds", "vc-exact", "search")
+    for rest in (("--help",), (), ("--bogus",))]
+
+
+def test_lazy_and_eager_parsers_print_the_same_screens(monkeypatch):
+    eager = build_parser()
+    for sub in subcommands(eager).values():
+        sub.parser  # declare every subcommand before any parse
+    assert len(built(eager)) == 11
+    for argv in SCREENS:
+        monkeypatch.setattr(cli_module, "_parser", build_parser)  # a fresh lazy parser per run
+        lazy = catching_exit(*argv)
+        monkeypatch.setattr(cli_module, "_parser", lambda: eager)
+        assert catching_exit(*argv) == lazy, argv
+        assert lazy[0] in (2, ("exit", 0)), argv
+
+
 def catching_exit(*argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -227,3 +227,29 @@ def test_point_set_validation():
     assert ps.denom == 6
     assert ps.dim == 2
     assert len(ps) == 2
+
+
+def test_point_set_grid_check_agrees_with_the_fraction_product_rule():
+    # on the grid iff x * D is an integer, and then cols holds that integer;
+    # coordinates whose denominators divide D and do not, and the int 0
+    rng = random.Random(41)
+    accepted = refused = 0
+    for _ in range(400):
+        denom = rng.randint(1, 60)
+        qs = [q for q in range(1, 2 * denom + 1) if denom % q == 0] + [rng.randint(1, 90)]
+        dim = rng.randint(1, 3)
+        points = tuple(tuple(0 if rng.random() < 0.1 else F(rng.randrange(q), q)
+                             for q in (rng.choice(qs) for _ in range(dim)))
+                       for _ in range(rng.randint(1, 4)))
+        scaled = [[x * denom for x in p] for p in points]
+        if all(y.denominator == 1 for p in scaled for y in p):
+            ps = PointSet(dim, denom, points)
+            assert ps.cols == tuple(zip(*((y.numerator for y in p) for p in scaled)))
+            accepted += 1
+        else:
+            x = next(x for p in points for x in p if (x * denom).denominator != 1)
+            with pytest.raises(ValueError, match=rf"^coordinate {x} not on the 1/{denom} grid$"):
+                PointSet(dim, denom, points)
+            refused += 1
+    assert accepted > 100 and refused > 100
+    assert PointSet(1, 1, ((0,),)).cols == ((0,),)
