@@ -57,7 +57,6 @@ than a bracket would.
 floor(log2 d) is taken via bit length.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotCertified, PostconditionError
@@ -335,19 +334,26 @@ def refined_upper_bound_n(d: int) -> int:
                                 _guess(d, terms, start, known))
 
 
-@dataclass
 class BoundParams:
-    """Parameter bundle for the random extraction-matrix construction."""
+    """Parameters of the random extraction-matrix construction; immutable like a torus.Value."""
 
-    d: int
-    f: int
-    q: Fraction
-    m: int
-    k: int
-    c: int
-    d_prime: int
-    condition_ok: bool
-    ext_req_ok: bool
+    def __init__(self, d: int, f: int, q: Fraction, m: int, k: int, c: int, d_prime: int,
+                 condition_ok: bool, ext_req_ok: bool):
+        vars(self).update(d=d, f=f, q=q, m=m, k=k, c=c, d_prime=d_prime,
+                          condition_ok=condition_ok, ext_req_ok=ext_req_ok)
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def choose_parameters(d: int) -> BoundParams:

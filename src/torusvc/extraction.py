@@ -12,12 +12,12 @@ depth-first search over the rows.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .errors import GuardExceeded, PostconditionError
 from .matching import augment, maximum_matching
+from .torus import Value
 
 MODES = ("exhaustive", "witness")  # the modes of check_extraction
 EXHAUSTIVE_GUARD = 10**7
@@ -27,25 +27,24 @@ WITNESS_NODE_BUDGET = 10**7
 SAMPLE_GUARD_ENTRIES = 1 << 20  # c * d entries a balanced matrix may have
 
 
-@dataclass(frozen=True)
-class SymbolMatrix:
+class SymbolMatrix(Value):
     """A c x d matrix with entries in {0..k-1}."""
 
-    rows: tuple
-    k: int
+    _fields = ("rows", "k")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, rows: tuple, k: int):
+        if k < 1:
             raise ValueError("alphabet size must be positive")
-        if not self.rows or not self.rows[0]:
+        if not rows or not rows[0]:
             raise ValueError("matrix must be nonempty")
-        width = len(self.rows[0])
-        for row in self.rows:
+        width = len(rows[0])
+        for row in rows:
             if len(row) != width:
                 raise ValueError("ragged matrix")
             for v in row:
-                if not 0 <= v < self.k:
-                    raise ValueError(f"entry {v} outside alphabet of size {self.k}")
+                if not 0 <= v < k:
+                    raise ValueError(f"entry {v} outside alphabet of size {k}")
+        vars(self).update(rows=rows, k=k)
 
     @property
     def n_rows(self) -> int:
@@ -68,11 +67,13 @@ class SymbolMatrix:
         )
 
 
-@dataclass
-class ExtractionVerdict:
-    holds: bool
-    counterexample_word: tuple = None
-    failure_witness: tuple = None  # (rows U, columns V, {row: symbol})
+class ExtractionVerdict(Value):
+    _fields = ("holds", "counterexample_word", "failure_witness")
+
+    def __init__(self, holds: bool, counterexample_word: tuple = None,
+                 failure_witness: tuple = None):  # (rows U, columns V, {row: symbol})
+        vars(self).update(holds=holds, counterexample_word=counterexample_word,
+                          failure_witness=failure_witness)
 
 
 def superdiagonal_matrix(c: int) -> SymbolMatrix:
@@ -359,21 +360,16 @@ def verify_ext_req(q, m: int, k: int) -> bool:
     return (q - q / k) ** qm > q * m * m * k**3
 
 
-@dataclass
-class CountingLedger:
-    """Exact counting quantities behind the random-matrix failure bound."""
+class CountingLedger(Value):
+    """Exact counting quantities behind the random-matrix failure bound: F[i-1] bounds the
+    bad balanced words for |U| = i, and H_bound[i-1] the matrices witnessed at size i."""
 
-    q: Fraction
-    m: int
-    k: int
-    c: int
-    d: int
-    A: int
-    T: int
-    F: list  # F[i-1] bounds the bad balanced words for |U| = i
-    H_bound: list  # H_bound[i-1] bounds the matrices witnessed at size i
-    B_bound: int
-    ratio_bound: Fraction
+    _fields = ("q", "m", "k", "c", "d", "A", "T", "F", "H_bound", "B_bound", "ratio_bound")
+
+    def __init__(self, q: Fraction, m: int, k: int, c: int, d: int, A: int, T: int, F: list,
+                 H_bound: list, B_bound: int, ratio_bound: Fraction):
+        vars(self).update(q=q, m=m, k=k, c=c, d=d, A=A, T=T, F=F, H_bound=H_bound,
+                          B_bound=B_bound, ratio_bound=ratio_bound)
 
 
 def failure_probability_bound(q, m: int, k: int) -> CountingLedger:

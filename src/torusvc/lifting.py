@@ -13,7 +13,6 @@ complement of those d stripes.
 """
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -22,7 +21,7 @@ from .extraction import SymbolMatrix
 from .matching import maximum_matching
 from .shatter import scan_stripe
 from .stripes import _check_length, build_stripe_shattered_set, stripe_witness
-from .torus import ONE, Arc, Cube, PointSet, Rat, covered_mask
+from .torus import ONE, Arc, Cube, PointSet, Rat, Value, covered_mask
 from .torus import arc_contains  # noqa: F401  (a binding site bench/test_bench.py checks)
 
 Mask = int
@@ -30,22 +29,27 @@ Mask = int
 VERIFY_GUARD_POINTS = 24
 
 
-@dataclass(frozen=True)
-class LiftInstance:
-    base: PointSet  # X, u points in T^k
-    matrix: SymbolMatrix  # c x d over alphabet k
-    length: Rat  # stripe length l used on the base set
-    lifted: PointSet  # c*u points in T^d, group-major order
-    canonical_n: int  # the construction's n when base is the stripe construction, else None
-    filler: Arc = field(repr=False, compare=False)  # cube_witness's arc for unmatched dimensions
-    cells: dict = field(repr=False, compare=False)  # cube_witness's {base subset: cell}, on demand
+class LiftInstance(Value):
+    """base X (u points in T^k) lifted through matrix (c x d over alphabet k) with stripe
+    length l to lifted (c*u points in T^d, group-major); canonical_n is the construction's
+    n when base is the stripe construction, else None.  Not compared or printed: filler,
+    cube_witness's arc for unmatched dimensions, and cells, its {base subset: cell}."""
+
+    _fields = ("base", "matrix", "length", "lifted", "canonical_n")
+
+    def __init__(self, base: PointSet, matrix: SymbolMatrix, length: Rat, lifted: PointSet,
+                 canonical_n: int, filler: Arc, cells: dict):
+        vars(self).update(base=base, matrix=matrix, length=length, lifted=lifted,
+                          canonical_n=canonical_n, filler=filler, cells=cells)
 
 
-@dataclass
-class LiftReport:
-    checked: int
-    failures: list
-    denom: int  # lcm of the arc grid denominators (Arc.grid's q) of the cubes checked
+class LiftReport(Value):
+    """denom is the lcm of the arc grid denominators (Arc.grid's q) of the cubes checked."""
+
+    _fields = ("checked", "failures", "denom")
+
+    def __init__(self, checked: int, failures: list, denom: int):
+        vars(self).update(checked=checked, failures=failures, denom=denom)
 
     @property
     def ok(self) -> bool:

@@ -38,7 +38,6 @@ of prefix_table.  Witnesses are checked apart, by torus.covered_mask.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -50,6 +49,7 @@ from .torus import (
     PointSet,
     Rat,
     Stripe,
+    Value,
     _check_coord,
     arc_contains,  # noqa: F401  (a binding site bench/test_bench.py checks)
     covered_mask,
@@ -68,29 +68,29 @@ STRIPES_ANY = "stripes-any"
 KINDS = (BOXES, CUBES, STRIPES_FIXED, STRIPES_ANY)  # the CLI's --family choices
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Value):
     """One of the four shape families; fixed-length stripes carry the length."""
 
-    kind: str
-    length: Rat = None
+    _fields = ("kind", "length")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == STRIPES_FIXED:
-            if self.length is None or not (0 < self.length < 1):
-                raise ValueError(f"family {self.kind} needs a length in (0,1)")
-            _check_coord(self.length, "stripe length")  # refuses a float
-        elif self.length is not None:
-            raise ValueError(f"family {self.kind} takes no length")
+    def __init__(self, kind: str, length: Rat = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown family kind {kind!r}")
+        if kind == STRIPES_FIXED:
+            if length is None or not (0 < length < 1):
+                raise ValueError(f"family {kind} needs a length in (0,1)")
+            _check_coord(length, "stripe length")  # refuses a float
+        elif length is not None:
+            raise ValueError(f"family {kind} takes no length")
+        vars(self).update(kind=kind, length=length)
 
 
-@dataclass
-class ShatterReport:
-    shattered: bool
-    missing: Mask = None
-    witnesses: dict = field(default_factory=dict)
+class ShatterReport(Value):
+    _fields = ("shattered", "missing", "witnesses")
+
+    def __init__(self, shattered: bool, missing: Mask = None, witnesses: dict = None):
+        vars(self).update(shattered=shattered, missing=missing,
+                          witnesses={} if witnesses is None else witnesses)
 
 
 def prefix_table(cols: tuple) -> tuple:

@@ -13,7 +13,6 @@ rule; covered_mask, built on it, checks every witness and certificate
 line, and this module imports nothing from the package.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -30,20 +29,40 @@ def _check_coord(x: Rat, what: str = "coordinate") -> None:
         raise ValueError(f"{what} {x} outside [0,1)")
 
 
-@dataclass(frozen=True)
-class Arc:
-    """A proper arc of the circle; wraps through 0 when start > end."""
+class Value:
+    """An immutable value, compared, hashed and printed by its class's _fields, set once by
+    __init__ (shapes, made in bulk, by object.__setattr__, which stores them inline; the rest
+    by vars()).  Not a dataclass, whose decorator compiles new methods on every import."""
 
-    start: Rat
-    end: Rat
-    closed: bool = True
-    # end - start, or 1 - start + end when wrapping; computed once
-    length: Rat = field(init=False, repr=False, compare=False)
-    # (s, e, w, q): start s/q, end e/q, length w/q, q = lcm of the endpoint denominators
-    grid: tuple = field(init=False, repr=False, compare=False)
+    _fields = ()
 
-    def __post_init__(self):
-        start, end = self.start, self.end
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Arc(Value):
+    """A proper arc of the circle, wrapping through 0 when start > end.  Its length (end -
+    start, or 1 - start + end when wrapping) and grid are computed once."""
+
+    _fields = ("start", "end", "closed")
+
+    def __init__(self, start: Rat, end: Rat, closed: bool = True):
         _check_coord(start, "arc start")
         _check_coord(end, "arc end")
         sq, eq = start.denominator, end.denominator
@@ -52,6 +71,9 @@ class Arc:
         if s == e:
             raise ValueError("degenerate or full-circle arc is not allowed")
         w = e - s if s < e else q - s + e
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "length", Fraction(w, q))
         object.__setattr__(self, "grid", (s, e, w, q))
 
@@ -76,59 +98,60 @@ def arc_complement(arc: Arc) -> Arc:
     return Arc(arc.end, arc.start, closed=not arc.closed)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Value):
     """Product of d closed arcs on the torus."""
 
-    arcs: tuple
+    _fields = ("arcs",)
 
-    def __post_init__(self):
-        if len(self.arcs) < 1:
+    def __init__(self, arcs: tuple):
+        if len(arcs) < 1:
             raise ValueError("box needs at least one dimension")
-        for a in self.arcs:
+        for a in arcs:
             if not a.closed:
                 raise ValueError("box factors must be closed arcs")
+        object.__setattr__(self, "arcs", arcs)
 
     @property
     def dim(self) -> int:
         return len(self.arcs)
 
 
-@dataclass(frozen=True)
 class Cube(Box):
     """Box whose arcs all have the same length, its edge."""
 
-    edge: Rat = field(init=False)
+    _fields = ("arcs", "edge")
 
-    def __post_init__(self):
+    def __init__(self, arcs: tuple):
         # one pass; on a fault Box's checks run first, so their messages outrank the edge's
-        if not self.arcs:
-            Box.__post_init__(self)
-        object.__setattr__(self, "edge", self.arcs[0].length)
-        num, den = self.edge.numerator, self.edge.denominator
-        for a in self.arcs:
+        if not arcs:
+            Box.__init__(self, arcs)
+        edge = arcs[0].length
+        num, den = edge.numerator, edge.denominator
+        for a in arcs:
             _, _, w, q = a.grid
             if w * den != num * q or not a.closed:
-                Box.__post_init__(self)
+                Box.__init__(self, arcs)
                 raise ValueError("cube arcs must all have the edge length")
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "edge", edge)
 
 
-@dataclass(frozen=True)
-class Stripe:
+class Stripe(Value):
     """Full circles in every dimension except one open arc in anchor_dim.
 
     anchor_dim is 0-indexed.
     """
 
-    anchor_dim: int
-    arc: Arc
-    ambient_dim: int
+    _fields = ("anchor_dim", "arc", "ambient_dim")
 
-    def __post_init__(self):
-        if not 0 <= self.anchor_dim < self.ambient_dim:
+    def __init__(self, anchor_dim: int, arc: Arc, ambient_dim: int):
+        if not 0 <= anchor_dim < ambient_dim:
             raise ValueError("anchor dimension out of range")
-        if self.arc.closed:
+        if arc.closed:
             raise ValueError("stripe cross-section must be an open arc")
+        object.__setattr__(self, "anchor_dim", anchor_dim)
+        object.__setattr__(self, "arc", arc)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
 
 
 def shape_factors(shape, dim: int):
@@ -149,29 +172,19 @@ def shape_contains(shape, p) -> bool:
     return all(arc_contains(arc, p[j]) for j, arc in shape_factors(shape, len(p)))
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Value):
     """A finite configuration on the d-torus, all coordinates on a 1/D grid."""
 
-    dim: int
-    denom: int
-    points: tuple
-    # integer view: cols[j][i] is D times point i's coordinate in dimension j
-    cols: tuple = field(init=False, repr=False, compare=False)
-    # {(j, arc.grid, arc.closed): mask of the points in the arc}, covered_mask's cache
-    covers: dict = field(init=False, repr=False, compare=False)
-    # {family: its shatter tables}, shatter._family_tables's cache
-    tables: dict = field(init=False, repr=False, compare=False)
+    _fields = ("dim", "denom", "points")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, denom: int, points: tuple):
+        if dim < 1:
             raise ValueError("dimension must be positive")
-        if self.denom < 1:
+        if denom < 1:
             raise ValueError("denominator must be positive")
-        denom = self.denom
-        cols = [[] for _ in range(self.dim)]
-        for p in self.points:
-            if len(p) != self.dim:
+        cols = [[] for _ in range(dim)]
+        for p in points:
+            if len(p) != dim:
                 raise ValueError("point dimension mismatch")
             for col, x in zip(cols, p):
                 _check_coord(x)
@@ -179,9 +192,10 @@ class PointSet:
                 if denom % x.denominator:
                     raise ValueError(f"coordinate {x} not on the 1/{denom} grid")
                 col.append(x.numerator * (denom // x.denominator))
-        object.__setattr__(self, "cols", tuple(map(tuple, cols)))
-        object.__setattr__(self, "covers", {})
-        object.__setattr__(self, "tables", {})
+        # cols[j][i] is D times point i's coordinate in dimension j; covers, covered_mask's cache,
+        # maps (j, arc.grid, arc.closed) to a mask, and tables a family to its shatter tables
+        vars(self).update(dim=dim, denom=denom, points=points, cols=tuple(map(tuple, cols)),
+                          covers={}, tables={})
 
     def __len__(self) -> int:
         return len(self.points)

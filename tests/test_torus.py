@@ -1,12 +1,17 @@
 import ast
+import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import bruteforce
+import reference_values
 import torusvc
 from torusvc import cli, lifting, shatter, torus
 from torusvc.torus import (
@@ -128,6 +133,105 @@ def test_torus_imports_nothing_from_the_package():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert imported and not {name for name in imported if name.startswith(("torusvc", "."))}
+
+
+def test_package_imports_no_dataclasses():
+    # a dataclass decorator compiles its generated methods again on every import
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(torusvc.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert found == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh process, so that no module the tests loaded hides one torusvc loads
+    src = Path(torusvc.__file__).resolve().parent.parent
+    code = ("import sys; before = set(sys.modules); import torusvc.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def _value_args(ns):
+    """Per class name, constructor arguments for values built from the classes in ns:
+    the first two give equal values, each later one a value unequal to the first."""
+    a, b, gap = ns.Arc(F(1, 4), F(3, 4)), ns.Arc(F(3, 4), F(1, 4)), ns.Arc(F(1, 4), F(1, 2), False)
+    pts = ((F(1, 4),), (F(1, 2),))
+    ps, matrix = ns.PointSet(1, 4, pts), ns.SymbolMatrix(((0, 1),), 2)
+    # failure_probability_bound(2, 1, 2) and choose_parameters(2**20)
+    ledger = (F(2), 1, 2, 2, 4, 6, 36, [0, 0], [0, 0], 0, F(0))
+    params = (1 << 20, 20, F(21, 20), 9600, 104, 998400, 1048320, True, True)
+    return {
+        "Arc": [(F(1, 4), F(3, 4)), (F(1, 4), F(3, 4), True), (F(1, 4), F(3, 4), False),
+                (F(3, 4), F(1, 4))],
+        "Box": [((a, b),), ((a, b),), ((b, a),), ((a,),)],
+        "Cube": [((a, b),), ((a, b),), ((b, a),), ((a,),)],
+        "Stripe": [(0, gap, 2), (0, gap, 2), (1, gap, 2), (0, gap, 1)],
+        "PointSet": [(1, 4, pts), (1, 4, pts), (1, 8, pts), (1, 4, pts[:1])],
+        "SymbolMatrix": [(((0, 1),), 2), (((0, 1),), 2), (((0, 1),), 3), (((1, 0),), 2)],
+        "ExtractionVerdict": [(True,), (True, None, None), (False,),
+                              (False, (0, 1), ((0, 1), (1,), {0: 0, 1: 0}))],
+        "CountingLedger": [ledger, ledger, ledger[:-1] + (F(1, 2),)],
+        "Family": [("boxes",), ("boxes", None), ("cubes",), ("stripes", F(1, 2))],
+        "ShatterReport": [(True,), (True, None, {}), (False, 3), (True, None, {0: a})],
+        # filler and cells are neither compared nor printed
+        "LiftInstance": [(ps, matrix, F(1, 2), ps, None, a, {}),
+                         (ps, matrix, F(1, 2), ps, None, b, {0: 1}),
+                         (ps, matrix, F(1, 2), ps, 1, a, {})],
+        "LiftReport": [(4, [], 12), (4, [], 12), (4, [3], 12), (5, [], 12)],
+        "BoundParams": [params, params, params[:-1] + (False,)],
+    }
+
+
+def _values(ns):
+    return {name: [getattr(ns, name)(*args) for args in arg_list]
+            for name, arg_list in _value_args(ns).items()}
+
+
+@pytest.mark.parametrize("name", list(_value_args(torusvc)))
+def test_values_keep_the_replaced_dataclass_semantics(name):
+    assert not dataclasses.is_dataclass(getattr(torusvc, name))
+    fields = dataclasses.fields(getattr(reference_values, name))
+    ref_all, new_all = _values(reference_values), _values(torusvc)
+    others = [(r, n) for key in ref_all for r, n in zip(ref_all[key], new_all[key])]
+    for ref, new in zip(ref_all[name], new_all[name]):
+        assert repr(new) == repr(ref)
+        # every field, derived ones and defaults too, holds the same value
+        assert [repr(getattr(new, f.name)) for f in fields] == [
+            repr(getattr(ref, f.name)) for f in fields]
+        # against every value of every class (so Box(arcs) against Cube(arcs)), and a tuple
+        assert ([(new == n, new != n) for _, n in others]
+                == [(ref == r, ref != r) for r, _ in others])
+        values = tuple(getattr(ref, f.name) for f in fields if f.compare)
+        assert (new == values, new != values) == (ref == values, ref != values) == (False, True)
+        if type(ref).__dataclass_params__.frozen:
+            assert hash(new) == hash(ref)
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(new, f.name, None)
+            with pytest.raises(AttributeError):
+                delattr(new, f.name)
+    refs = ref_all[name]  # as _value_args promises: the first two equal, the rest not
+    assert [ref == refs[0] for ref in refs] == [True, True] + [False] * (len(refs) - 2)
+    for ns in (reference_values, torusvc):
+        cls, args = getattr(ns, name), _value_args(ns)[name][0]
+        with pytest.raises(TypeError):  # one argument too many
+            cls(*args, *[None] * (sum(f.init for f in fields) - len(args) + 1))
+        for f in fields:
+            if not f.init:
+                with pytest.raises(TypeError):  # a derived field is no argument
+                    cls(*args, **{f.name: None})
+
+
+def test_shatter_report_defaults_to_a_fresh_witness_dict():
+    for cls in (reference_values.ShatterReport, torusvc.ShatterReport):
+        first, second = cls(True), cls(True)
+        assert first.witnesses == {} and first.witnesses is not second.witnesses
 
 
 def test_every_check_binds_the_one_covered_mask():
